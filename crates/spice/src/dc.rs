@@ -292,7 +292,10 @@ fn stamp_dc<S: MatrixSink<f64>>(
     }
 }
 
-fn apply_nonlinear<S: MatrixSink<f64>>(
+/// Adds a linearized device's Newton companion (conductances and
+/// equivalent currents) to the system — shared by the DC and transient
+/// Newton loops.
+pub(crate) fn apply_nonlinear<S: MatrixSink<f64>>(
     st: &mut Stamper<'_, f64, S>,
     stamp: devices::NonlinearStamp,
 ) {

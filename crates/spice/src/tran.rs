@@ -6,13 +6,18 @@
 //! uses backward Euler or trapezoidal companion models; nonlinear devices
 //! are resolved with Newton iteration at every time point.
 //!
-//! # Fixed grid vs. adaptive stepping
+//! # One stepper, two schedules
 //!
-//! Two stepping modes share one options struct:
+//! Every run goes through one stepper: it seeds the reactive state from the
+//! operating point, solves each step with Newton iteration and commits the
+//! companion-model state of each accepted step. The options pick only the
+//! **schedule** that decides where each step ends:
 //!
-//! * **Fixed grid** ([`TransientOptions::new`], `dt_min == dt_max`): the
-//!   legacy uniform-`dt` grid with the final step shortened to land exactly
-//!   on `t_stop`.
+//! * **Fixed grid** ([`TransientOptions::new`], `dt_min == dt_max`): step
+//!   `k` ends at `k·dt`, and the last step is shortened to end exactly on
+//!   `t_stop`. There is no LTE test, no breakpoint snapping and no
+//!   rejection ladder: a step whose Newton loop does not converge fails the
+//!   run at once.
 //! * **Adaptive** ([`TransientOptions::adaptive`], `dt_max > dt_min`): each
 //!   step runs a per-step *accept-or-escalate ladder* mirroring the solver's
 //!   verified-solve retry ladder on the time axis. A step is solved, its
@@ -25,7 +30,8 @@
 //!   [`SpiceError::TransientNoConvergence`] enriched with the recorded
 //!   [`rejection history`](crate::error::StepRejection).
 //!
-//! A **breakpoint schedule** harvested from source discontinuities
+//! On the adaptive schedule, a list of **breakpoints** harvested from
+//! source discontinuities
 //! ([`loopscope_netlist::Waveform::breakpoints`]) forces exact landings:
 //! the step *ending* on a breakpoint evaluates sources by their left limit
 //! and the step *starting* there restarts with one backward-Euler step at
@@ -40,7 +46,7 @@
 //! configurations.
 
 use crate::assembly::{AssembleMna, CachedMna, SolveStats};
-use crate::dc::OperatingPoint;
+use crate::dc::{apply_nonlinear, OperatingPoint};
 use crate::devices;
 use crate::error::{SpiceError, StepRejectReason, StepRejection};
 use crate::mna::{MatrixSink, MnaLayout, Stamper};
@@ -79,9 +85,10 @@ pub enum Integration {
 
 /// Options controlling a transient run.
 ///
-/// `dt_min == dt_max` selects the legacy **fixed grid** (and `reltol`/
-/// `abstol` are unused); `dt_max > dt_min` selects the **adaptive** stepper
-/// described in the [module docs](crate::tran).
+/// `dt_min == dt_max` selects the **fixed-grid** schedule (and `reltol`/
+/// `abstol` are unused); `dt_max > dt_min` selects the **adaptive**
+/// schedule. Both run on the one stepper described in the
+/// [module docs](crate::tran).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientOptions {
     /// Smallest step the adaptive ladder may take, in seconds. On the fixed
@@ -140,33 +147,38 @@ impl TransientOptions {
 }
 
 /// Counters describing how a transient run stepped — the time-axis analogue
-/// of [`SolveStats`], which makes the adaptive ladder's behaviour assertable
-/// in tests and benchmarks.
+/// of [`SolveStats`], which makes the stepper's behaviour on either
+/// schedule assertable in tests and benchmarks.
 ///
 /// Like the step sequence itself, every counter is a pure deterministic
 /// function of (circuit, options) and bit-identical across the
 /// `LOOPSCOPE_THREADS`/`LOOPSCOPE_KERNEL`/`LOOPSCOPE_PANEL` knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientStats {
-    /// Steps accepted into the result (`times().len() - 1`).
+    /// Steps accepted into the result (`times().len() - 1`), on either
+    /// schedule.
     pub accepted_steps: usize,
-    /// Step attempts rejected by the ladder (LTE over tolerance or Newton
-    /// non-convergence) and retried at a smaller width. Always zero on the
-    /// fixed grid.
+    /// Step attempts the adaptive schedule's ladder rejected (LTE over
+    /// tolerance or Newton non-convergence) and retried at a smaller width.
+    /// The fixed-grid schedule has no ladder, so it always reports zero.
     pub rejected_steps: usize,
-    /// Steps accepted *despite* an LTE estimate over tolerance because the
-    /// width had already reached `dt_min` — graceful degradation instead of
-    /// a hard abort. Always zero on the fixed grid.
+    /// Adaptive steps accepted *despite* an LTE estimate over tolerance
+    /// because the width had already reached `dt_min` — graceful
+    /// degradation instead of a hard abort. The fixed-grid schedule runs no
+    /// LTE test, so it always reports zero.
     pub forced_accepts: usize,
-    /// Total Newton iterations across all attempts (accepted and rejected).
+    /// Total Newton iterations across all attempts (accepted and rejected),
+    /// on either schedule.
     pub newton_iterations: usize,
-    /// Smallest accepted step width, seconds (`+∞` before any step).
+    /// Smallest accepted step width, seconds (`+∞` before any step). On
+    /// the fixed grid this is `dt` or the shortened final step.
     pub min_dt: f64,
     /// Largest accepted step width, seconds (`0` before any step).
     pub max_dt: f64,
-    /// Breakpoints the stepper landed on exactly (source discontinuities;
-    /// the plain `t_stop` landing is not counted unless a discontinuity
-    /// falls there). Always zero on the fixed grid.
+    /// Breakpoints the adaptive schedule landed on exactly (source
+    /// discontinuities; the plain `t_stop` landing is not counted unless a
+    /// discontinuity falls there). The fixed-grid schedule never snaps to
+    /// a breakpoint, so it always reports zero.
     pub breakpoints_hit: usize,
     /// Linear-solver counters accumulated over the whole run.
     pub solve: SolveStats,
@@ -349,22 +361,26 @@ impl<'c> TransientAnalysis<'c> {
 
     /// Runs the transient analysis starting from the given operating point.
     ///
-    /// Dispatches on the options: `dt_max == dt_min` runs the legacy
-    /// fixed-grid loop (bitwise identical to its historical output),
-    /// `dt_max > dt_min` runs the adaptive accept-or-escalate stepper (see
-    /// the [module docs](crate::tran)).
+    /// One stepper serves both schedules the options select (see the
+    /// [module docs](crate::tran)): `dt_max == dt_min` steps the fixed
+    /// `dt` grid, `dt_max > dt_min` runs the adaptive accept-or-escalate
+    /// ladder with breakpoint landings.
     ///
     /// # Errors
     ///
-    /// Returns a hard solver failure ([`SpiceError::SingularSystem`],
-    /// [`SpiceError::NonFiniteStamp`], [`SpiceError::ResidualCheckFailed`] or
-    /// [`SpiceError::Linear`]) if a time-point system cannot be solved even
-    /// through the solver's retry ladder, or
-    /// [`SpiceError::TransientNoConvergence`] — naming the time point, step
-    /// index, worst-residual node and (on the adaptive path) the rejected
-    /// step attempts — once the step ladder is exhausted at `dt_min`.
+    /// Returns [`SpiceError::InvalidOptions`] naming the step count when
+    /// the fixed grid's result storage cannot be reserved (a `t_stop / dt`
+    /// ratio far beyond what memory holds), a hard solver failure
+    /// ([`SpiceError::SingularSystem`], [`SpiceError::NonFiniteStamp`],
+    /// [`SpiceError::ResidualCheckFailed`] or [`SpiceError::Linear`]) if a
+    /// time-point system cannot be solved even through the solver's retry
+    /// ladder, or [`SpiceError::TransientNoConvergence`] — naming the time
+    /// point, step index, worst-residual node and (on the adaptive schedule)
+    /// the rejected step attempts — once a step's Newton loop fails for
+    /// good: at once on the fixed grid, after the step ladder is exhausted
+    /// at `dt_min` on the adaptive schedule.
     pub fn run(&self, op: &OperatingPoint) -> Result<TransientResult, SpiceError> {
-        self.run_impl(op, |_, _| {})
+        self.step_through(op, |_, _| {})
     }
 
     /// Like [`run`](TransientAnalysis::run), but invoking `hook` with the
@@ -384,197 +400,30 @@ impl<'c> TransientAnalysis<'c> {
         op: &OperatingPoint,
         hook: impl FnMut(usize, &mut CachedMna<f64>),
     ) -> Result<TransientResult, SpiceError> {
-        self.run_impl(op, hook)
+        self.step_through(op, hook)
     }
 
-    fn run_impl<F: FnMut(usize, &mut CachedMna<f64>)>(
-        &self,
-        op: &OperatingPoint,
-        hook: F,
-    ) -> Result<TransientResult, SpiceError> {
-        if self.options.is_adaptive() {
-            self.run_adaptive(op, hook)
-        } else {
-            self.run_fixed(op, hook)
-        }
-    }
-
-    /// The legacy fixed-grid loop. Every arithmetic operation on the
-    /// waveform path is unchanged from before the adaptive stepper existed,
-    /// so `dt_max == dt_min` options reproduce historical results bitwise.
-    fn run_fixed<F: FnMut(usize, &mut CachedMna<f64>)>(
-        &self,
-        op: &OperatingPoint,
-        mut hook: F,
-    ) -> Result<TransientResult, SpiceError> {
-        let node_count = self.circuit.node_count();
+    /// Number of steps of the fixed grid covering `0..=t_stop`.
+    fn fixed_step_count(&self) -> usize {
         let dt = self.options.dt_min;
         let t_stop = self.options.t_stop;
-        // Step count covering 0..=t_stop. `ceil` alone is not enough: when
-        // t_stop is not an exact multiple of dt the final full step would
-        // land PAST t_stop (e.g. dt = 0.4, t_stop = 1.0 → grid 0.4, 0.8,
-        // 1.2), and floating-point division rounds exact multiples UP a few
-        // ulps (10e-6 / 1e-6 = 10.000…002), which a bare `ceil` turns into
-        // a phantom ~1e-21-second step. Shaving a few ulps off the ratio
-        // before ceiling collapses those near-exact cases back to the exact
-        // grid; genuinely non-multiple stop times keep their extra step,
-        // which the loop below shortens to end exactly at t_stop. The
-        // `while` guard is a belt-and-suspenders floor so the shortened
-        // step's width is strictly positive in every remaining case.
+        // `ceil` alone is not enough: when t_stop is not an exact multiple
+        // of dt the final full step would land PAST t_stop (e.g. dt = 0.4,
+        // t_stop = 1.0 → grid 0.4, 0.8, 1.2), and floating-point division
+        // rounds exact multiples UP a few ulps (10e-6 / 1e-6 = 10.000…002),
+        // which a bare `ceil` turns into a phantom ~1e-21-second step.
+        // Shaving a few ulps off the ratio before ceiling collapses those
+        // near-exact cases back to the exact grid; genuinely non-multiple
+        // stop times keep their extra step, which the stepper shortens to
+        // end exactly at t_stop. The `while` guard is a belt-and-suspenders
+        // floor so the shortened step's width is strictly positive in every
+        // remaining case.
         let ratio = (t_stop / dt) * (1.0 - 8.0 * f64::EPSILON);
         let mut steps = (ratio.ceil() as usize).max(1);
         while steps > 1 && (steps - 1) as f64 * dt >= t_stop {
             steps -= 1;
         }
-
-        // State carried between time points.
-        let mut voltages = op.node_voltages().to_vec();
-        let mut prev_cap_current: Vec<f64> = vec![0.0; self.circuit.elements().len()];
-        let mut prev_ind_voltage: Vec<f64> = vec![0.0; self.circuit.elements().len()];
-        let mut branch_currents: Vec<f64> = vec![0.0; self.layout.dim()];
-        // Seed inductor currents from the operating point.
-        for (ei, el) in self.circuit.elements().iter().enumerate() {
-            if let Element::Inductor(l) = el {
-                if let Some(i0) = op.branch_current(&l.name) {
-                    if let Some(var) = self.layout.branch_var(&l.name) {
-                        branch_currents[var] = i0;
-                    }
-                }
-                prev_ind_voltage[ei] = voltages[l.a.index()] - voltages[l.b.index()];
-            }
-        }
-
-        let mut times = Vec::with_capacity(steps + 1);
-        let mut data = Vec::with_capacity(steps + 1);
-        times.push(0.0);
-        data.push(voltages.clone());
-
-        // Companion-model restamping never changes the sparsity pattern, so
-        // one cache serves every Newton iteration of every timestep.
-        let mut solver = CachedMna::new();
-
-        // Newton trial state, reused across every iteration of every step
-        // (ground stays zero; all other entries are rewritten per iteration).
-        // The solution buffer is hoisted too: `solve_verified_into` cycles it
-        // through assemble → verified solve (the retry ladder's refinement
-        // workspace and rhs backup live inside the solver and are warm after
-        // the first step), so the steady-state Newton loop performs zero heap
-        // allocations (proven by `tests/alloc_transient.rs`).
-        let mut trial = voltages.clone();
-        let mut next = vec![0.0; node_count];
-        let mut solution = vec![0.0; self.layout.dim()];
-        let mut stats = TransientStats::default();
-        let mut solve_ordinal = 0usize;
-
-        for step in 1..=steps {
-            // The final step ends exactly at t_stop, shortened when t_stop
-            // is not a multiple of dt; the companion models integrate over
-            // the actual step width.
-            let last = step == steps;
-            let t = if last { t_stop } else { step as f64 * dt };
-            let dt_step = if last {
-                t_stop - (step - 1) as f64 * dt
-            } else {
-                dt
-            };
-            // Backward Euler start-up step for trapezoidal integration (see
-            // [`Integration::Trapezoidal`]): the t = 0 reactive currents from
-            // the DC operating point are not valid trapezoidal history when a
-            // source is discontinuous at t = 0⁺.
-            let method = if step == 1 {
-                Integration::BackwardEuler
-            } else {
-                self.options.method
-            };
-            trial.copy_from_slice(&voltages);
-            let mut converged = false;
-            // Node with the largest voltage update at the most recent Newton
-            // iteration — named in the non-convergence error so the user
-            // knows which unknown refused to settle.
-            let mut worst_node = None;
-
-            for _ in 0..self.options.max_newton {
-                let job = TimestepSystem {
-                    analysis: self,
-                    t,
-                    dt: dt_step,
-                    method,
-                    left_limit: false,
-                    trial: &trial,
-                    prev: &voltages,
-                    prev_cap_current: &prev_cap_current,
-                    prev_ind_voltage: &prev_ind_voltage,
-                    prev_solution: &branch_currents,
-                };
-                // `solve_verified_into` is exactly assemble + verify; the
-                // split lets the (production no-op) hook poison the
-                // assembled values in fault-injection runs.
-                solver.assemble_into(&self.layout, &job, &mut solution);
-                hook(solve_ordinal, &mut solver);
-                solve_ordinal += 1;
-                solver.verify_assembled(&self.layout, &mut solution)?;
-                stats.newton_iterations += 1;
-
-                let mut max_delta: f64 = 0.0;
-                for node in self.circuit.signal_nodes_iter() {
-                    let var = self.layout.node_var(node).expect("signal node");
-                    let v = solution[var];
-                    let delta = (v - trial[node.index()]).abs();
-                    if delta >= max_delta {
-                        max_delta = delta;
-                        worst_node = Some(node);
-                    }
-                    next[node.index()] = v;
-                }
-                std::mem::swap(&mut trial, &mut next);
-                if max_delta < self.options.vntol
-                    || !self.circuit.elements().iter().any(Element::is_nonlinear)
-                {
-                    converged = true;
-                    break;
-                }
-            }
-            if !converged {
-                let worst = worst_node
-                    .map(|n| self.circuit.node_name(n).to_string())
-                    .unwrap_or_else(|| "<none>".to_string());
-                return Err(SpiceError::TransientNoConvergence {
-                    time: t,
-                    step,
-                    worst_node: worst,
-                    rejections: Vec::new(),
-                });
-            }
-
-            // Update capacitor / inductor state for the next step.
-            for (ei, el) in self.circuit.elements().iter().enumerate() {
-                match el {
-                    Element::Capacitor(c) => {
-                        let v_new = trial[c.a.index()] - trial[c.b.index()];
-                        let v_old = voltages[c.a.index()] - voltages[c.b.index()];
-                        let i_new = match method {
-                            Integration::BackwardEuler => c.farads / dt_step * (v_new - v_old),
-                            Integration::Trapezoidal => {
-                                2.0 * c.farads / dt_step * (v_new - v_old) - prev_cap_current[ei]
-                            }
-                        };
-                        prev_cap_current[ei] = i_new;
-                    }
-                    Element::Inductor(l) => {
-                        prev_ind_voltage[ei] = trial[l.a.index()] - trial[l.b.index()];
-                    }
-                    _ => {}
-                }
-            }
-            branch_currents.copy_from_slice(&solution);
-            std::mem::swap(&mut voltages, &mut trial);
-            times.push(t);
-            data.push(voltages.clone());
-            stats.record_accept(dt_step);
-        }
-
-        stats.solve = solver.stats();
-        Ok(TransientResult { times, data, stats })
+        steps
     }
 
     /// The breakpoint schedule for this run: source discontinuities in
@@ -608,9 +457,9 @@ impl<'c> TransientAnalysis<'c> {
         bps
     }
 
-    /// The adaptive accept-or-escalate stepper (see the
-    /// [module docs](crate::tran) for the ladder).
-    fn run_adaptive<F: FnMut(usize, &mut CachedMna<f64>)>(
+    /// The one transient stepper (see the [module docs](crate::tran) for
+    /// the two schedules and the adaptive ladder).
+    fn step_through<F: FnMut(usize, &mut CachedMna<f64>)>(
         &self,
         op: &OperatingPoint,
         mut hook: F,
@@ -618,14 +467,23 @@ impl<'c> TransientAnalysis<'c> {
         let node_count = self.circuit.node_count();
         let opts = &self.options;
         let t_stop = opts.t_stop;
-        let bps = self.breakpoints();
         let nonlinear = self.circuit.elements().iter().any(Element::is_nonlinear);
+        // The schedule. The fixed grid knows its step count up front and
+        // has no breakpoints; the adaptive schedule lands on breakpoints and
+        // learns its step count only by running.
+        let adaptive = opts.is_adaptive();
+        let (fixed_steps, bps) = if adaptive {
+            (0, self.breakpoints())
+        } else {
+            (self.fixed_step_count(), Vec::new())
+        };
 
-        // State carried between time points (identical to the fixed grid).
+        // State carried between time points.
         let mut voltages = op.node_voltages().to_vec();
         let mut prev_cap_current: Vec<f64> = vec![0.0; self.circuit.elements().len()];
         let mut prev_ind_voltage: Vec<f64> = vec![0.0; self.circuit.elements().len()];
         let mut branch_currents: Vec<f64> = vec![0.0; self.layout.dim()];
+        // Seed inductor currents from the operating point.
         for (ei, el) in self.circuit.elements().iter().enumerate() {
             if let Element::Inductor(l) = el {
                 if let Some(i0) = op.branch_current(&l.name) {
@@ -637,9 +495,38 @@ impl<'c> TransientAnalysis<'c> {
             }
         }
 
-        let mut times = vec![0.0];
-        let mut data = vec![voltages.clone()];
+        // The fixed grid's row count is `t_stop / dt`, straight from user
+        // input: reserve it fallibly so an absurd ratio is a structured
+        // error instead of an allocation abort.
+        let rows = if adaptive {
+            1
+        } else {
+            fixed_steps.saturating_add(1)
+        };
+        let mut times = Vec::new();
+        let mut data = Vec::new();
+        times
+            .try_reserve_exact(rows)
+            .and_then(|()| data.try_reserve_exact(rows))
+            .map_err(|e| {
+                SpiceError::InvalidOptions(format!(
+                    "a fixed grid of {fixed_steps} steps cannot be stored: {e}"
+                ))
+            })?;
+        times.push(0.0);
+        data.push(voltages.clone());
+
+        // Companion-model restamping never changes the sparsity pattern, so
+        // one cache serves every Newton iteration of every timestep.
         let mut solver = CachedMna::new();
+
+        // Newton trial state, reused across every iteration of every step
+        // (ground stays zero; all other entries are rewritten per iteration).
+        // The solution buffer is hoisted too: `solve_verified_into` cycles it
+        // through assemble → verified solve (the retry ladder's refinement
+        // workspace and rhs backup live inside the solver and are warm after
+        // the first step), so the steady-state Newton loop performs zero heap
+        // allocations (proven by `tests/alloc_transient.rs`).
         let mut trial = voltages.clone();
         let mut next = vec![0.0; node_count];
         let mut solution = vec![0.0; self.layout.dim()];
@@ -677,23 +564,31 @@ impl<'c> TransientAnalysis<'c> {
             }
 
             loop {
-                // Candidate step: the controller's width clamped to land
-                // exactly on t_stop and on the next breakpoint. Exact
-                // targets are assigned (not accumulated) so the grid hits
-                // them bit-exactly.
-                let remaining = t_stop - t;
-                let mut h_c = h_try.min(remaining);
-                let mut target = if h_c >= remaining { t_stop } else { t + h_c };
-                let mut landing = false;
-                if bp_idx < bps.len() {
-                    let b = bps[bp_idx];
-                    if b - t <= h_c {
-                        h_c = b - t;
-                        target = b;
-                        landing = true;
+                // Candidate step. Exact targets are assigned (not
+                // accumulated) so the grid hits them bit-exactly.
+                let (t_new, h_c, landing) = if adaptive {
+                    // The controller's width clamped to land exactly on
+                    // t_stop and on the next breakpoint.
+                    let remaining = t_stop - t;
+                    let h_c = h_try.min(remaining);
+                    let target = if h_c >= remaining { t_stop } else { t + h_c };
+                    match bps.get(bp_idx) {
+                        Some(&b) if b - t <= h_c => (b, b - t, true),
+                        _ => (target, h_c, false),
                     }
-                }
-                let t_new = target;
+                } else {
+                    // Step k ends at k·dt; the final step ends exactly at
+                    // t_stop, shortened when t_stop is not a multiple of dt
+                    // (the companion models integrate over the actual
+                    // width).
+                    let dt = opts.dt_min;
+                    let step = stats.accepted_steps + 1;
+                    if step == fixed_steps {
+                        (t_stop, t_stop - (step - 1) as f64 * dt, false)
+                    } else {
+                        (step as f64 * dt, dt, false)
+                    }
+                };
                 let method = if post_disc || force_be {
                     Integration::BackwardEuler
                 } else {
@@ -705,6 +600,9 @@ impl<'c> TransientAnalysis<'c> {
                 // *next* step, never to the one integrating up to it.
                 trial.copy_from_slice(&voltages);
                 let mut converged = false;
+                // Node with the largest voltage update at the most recent
+                // Newton iteration — named in the non-convergence error so
+                // the user knows which unknown refused to settle.
                 let mut worst_node = None;
                 for _ in 0..opts.max_newton {
                     let job = TimestepSystem {
@@ -719,6 +617,9 @@ impl<'c> TransientAnalysis<'c> {
                         prev_ind_voltage: &prev_ind_voltage,
                         prev_solution: &branch_currents,
                     };
+                    // `solve_verified_into` is exactly assemble + verify; the
+                    // split lets the (production no-op) hook poison the
+                    // assembled values in fault-injection runs.
                     solver.assemble_into(&self.layout, &job, &mut solution);
                     hook(solve_ordinal, &mut solver);
                     solve_ordinal += 1;
@@ -744,22 +645,25 @@ impl<'c> TransientAnalysis<'c> {
                 }
 
                 if !converged {
-                    // Newton non-convergence is a rejection rung: halve
-                    // toward dt_min, then switch the step to backward Euler,
-                    // then surface the whole ladder history.
-                    stats.rejected_steps += 1;
-                    rejections.push(StepRejection {
-                        time: t_new,
-                        dt: h_c,
-                        reason: StepRejectReason::NewtonNoConvergence,
-                    });
-                    if h_c > opts.dt_min {
-                        h_try = (h_c * 0.5).max(opts.dt_min);
-                        continue;
-                    }
-                    if method == Integration::Trapezoidal {
-                        force_be = true;
-                        continue;
+                    // On the adaptive schedule Newton non-convergence is a
+                    // rejection rung: halve toward dt_min, then switch the
+                    // step to backward Euler, then surface the whole ladder
+                    // history. The fixed grid has no rungs and fails at once.
+                    if adaptive {
+                        stats.rejected_steps += 1;
+                        rejections.push(StepRejection {
+                            time: t_new,
+                            dt: h_c,
+                            reason: StepRejectReason::NewtonNoConvergence,
+                        });
+                        if h_c > opts.dt_min {
+                            h_try = (h_c * 0.5).max(opts.dt_min);
+                            continue;
+                        }
+                        if method == Integration::Trapezoidal {
+                            force_be = true;
+                            continue;
+                        }
                     }
                     let worst = worst_node
                         .map(|n| self.circuit.node_name(n).to_string())
@@ -778,7 +682,7 @@ impl<'c> TransientAnalysis<'c> {
                 // solved step) estimates the local truncation error. Skipped
                 // on restart steps (no valid history across a discontinuity)
                 // — those run at dt_min, where the ladder would accept
-                // anyway.
+                // anyway — and on the fixed grid, which keeps no history.
                 let mut grow = false;
                 if hist_valid && !post_disc {
                     let scale = h_c / h_last;
@@ -812,7 +716,7 @@ impl<'c> TransientAnalysis<'c> {
                     }
                 }
 
-                // ---- accept ----
+                // ---- accept: update capacitor / inductor state ----
                 for (ei, el) in self.circuit.elements().iter().enumerate() {
                     match el {
                         Element::Capacitor(c) => {
@@ -833,7 +737,7 @@ impl<'c> TransientAnalysis<'c> {
                     }
                 }
                 branch_currents.copy_from_slice(&solution);
-                if landing || post_disc {
+                if !adaptive || landing || post_disc {
                     // The point before this step sits across (or on) a
                     // discontinuity — no extrapolation through it.
                     hist_valid = false;
@@ -1026,18 +930,6 @@ impl AssembleMna<f64> for TimestepSystem<'_, '_> {
             self.prev_ind_voltage,
             self.prev_solution,
         );
-    }
-}
-
-fn apply_nonlinear<S: MatrixSink<f64>>(
-    st: &mut Stamper<'_, f64, S>,
-    stamp: devices::NonlinearStamp,
-) {
-    for (r, c, g) in stamp.conductances {
-        st.add_node_node(r, c, g);
-    }
-    for (n, i) in stamp.rhs_currents {
-        st.add_rhs_node(n, i);
     }
 }
 
@@ -1250,6 +1142,23 @@ mod tests {
         c.add_resistor("R1", a, Circuit::GROUND, 1.0e3);
         c.add_capacitor("C1", a, Circuit::GROUND, 1.0e-9);
         (c, a)
+    }
+
+    #[test]
+    fn unstorable_fixed_grid_is_an_error_not_an_abort() {
+        let (c, _) = dc_circuit();
+        let op = solve_dc(&c).unwrap();
+        // ~1e18 rows: the times alone would need ~8e18 bytes, beyond any
+        // address space, so the reservation fails on every host.
+        let tran = TransientAnalysis::new(&c, TransientOptions::new(1.0e-18, 1.0)).unwrap();
+        let steps = tran.fixed_step_count();
+        assert!(steps > 900_000_000_000_000_000, "steps = {steps}");
+        match tran.run(&op) {
+            Err(SpiceError::InvalidOptions(msg)) => {
+                assert!(msg.contains(&steps.to_string()), "{msg}")
+            }
+            other => panic!("expected InvalidOptions, got {other:?}"),
+        }
     }
 
     #[test]
