@@ -445,7 +445,7 @@ impl<'c> AcAnalysis<'c> {
                 }
                 Element::Capacitor(c) => st.stamp_admittance(c.a, c.b, jw * c.farads),
                 Element::Inductor(l) => {
-                    let br = self.layout.branch_var(&l.name).expect("branch");
+                    let br = self.layout.element_branch(idx).expect("branch");
                     st.add_var_node(br, l.a, Complex64::ONE);
                     st.add_var_node(br, l.b, -Complex64::ONE);
                     st.add_node_var(l.a, br, Complex64::ONE);
@@ -453,7 +453,7 @@ impl<'c> AcAnalysis<'c> {
                     st.add_var_var(br, br, -(jw * l.henries));
                 }
                 Element::Vsource(v) => {
-                    let br = self.layout.branch_var(&v.name).expect("branch");
+                    let br = self.layout.element_branch(idx).expect("branch");
                     st.add_var_node(br, v.plus, Complex64::ONE);
                     st.add_var_node(br, v.minus, -Complex64::ONE);
                     st.add_node_var(v.plus, br, Complex64::ONE);
@@ -472,7 +472,7 @@ impl<'c> AcAnalysis<'c> {
                     }
                 }
                 Element::Vcvs(e) => {
-                    let br = self.layout.branch_var(&e.name).expect("branch");
+                    let br = self.layout.element_branch(idx).expect("branch");
                     st.add_var_node(br, e.out_plus, Complex64::ONE);
                     st.add_var_node(br, e.out_minus, -Complex64::ONE);
                     st.add_var_node(br, e.ctrl_plus, Complex64::from_real(-e.gain));
@@ -490,16 +490,16 @@ impl<'c> AcAnalysis<'c> {
                 Element::Cccs(f) => {
                     let ctrl = self
                         .layout
-                        .branch_var(&f.ctrl_vsource)
+                        .element_ctrl_branch(idx)
                         .expect("controlling source validated");
                     st.add_node_var(f.out_plus, ctrl, Complex64::from_real(f.gain));
                     st.add_node_var(f.out_minus, ctrl, Complex64::from_real(-f.gain));
                 }
                 Element::Ccvs(h) => {
-                    let br = self.layout.branch_var(&h.name).expect("branch");
+                    let br = self.layout.element_branch(idx).expect("branch");
                     let ctrl = self
                         .layout
-                        .branch_var(&h.ctrl_vsource)
+                        .element_ctrl_branch(idx)
                         .expect("controlling source validated");
                     st.add_var_node(br, h.out_plus, Complex64::ONE);
                     st.add_var_node(br, h.out_minus, -Complex64::ONE);

@@ -16,10 +16,13 @@
 //!    converts to CSR — exactly the naive path — and keeps the CSR as the
 //!    pattern.
 //! 2. **Later assemblies** zero the CSR values and replay the same stamps
-//!    through a [`SlotSink`], which routes each stamp to its value slot by a
-//!    binary search within the row. No allocation, no sorting, no BTreeMap.
-//!    If a stamp misses the pattern (a nonlinear device changed operating
-//!    region, say), the assembly transparently rebuilds the pattern.
+//!    through a [`SlotSink`], which routes each stamp to its value slot. The
+//!    slots were resolved once, by binary search within the row, and kept on
+//!    a [`StampTape`]; a stamp that matches its tape entry reuses the slot,
+//!    and only a stamp whose position changed is searched again. No
+//!    allocation, no sorting, no BTreeMap. If a stamp misses the pattern (a
+//!    nonlinear device changed operating region, say), the assembly
+//!    transparently rebuilds the pattern.
 //! 3. **Factorization** computes a fill-reducing (minimum-degree) column
 //!    order on first use and captures the resulting threshold-pivoted
 //!    [`SymbolicLu`]; afterwards it runs the numeric-only, allocation-free
@@ -92,19 +95,61 @@ pub trait AssembleMna<T: Scalar> {
     fn stamp<S: MatrixSink<T>>(&self, stamper: &mut Stamper<'_, T, S>);
 }
 
+/// The resolved destinations of one assembly's stamps, in stamp order:
+/// `(row, col, slot)` per stamp, where `slot` indexes the CSR value buffer.
+///
+/// A tape belongs to whoever owns the value buffer it indexes
+/// ([`CachedMna`], [`SolveContext`], the batch engine's lane group) and must
+/// be [`clear`](StampTape::clear)ed whenever that buffer's pattern changes.
+/// Jobs stamp the same positions in the same order at every call, so after
+/// the first [`SlotSink`] pass records them every later pass replays them:
+/// each stamp costs one comparison instead of a binary search.
+#[derive(Debug, Default)]
+pub struct StampTape {
+    entries: Vec<(usize, usize, usize)>,
+}
+
+impl StampTape {
+    /// An empty tape; the first assembly through it records every stamp.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Forgets every recorded destination (call when the pattern changes).
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+}
+
 /// Matrix sink that accumulates stamps into the value slots of an existing
 /// CSR pattern. Records (instead of panicking on) stamps that fall outside
 /// the pattern so the caller can rebuild.
+///
+/// Each stamp's slot comes from a [`StampTape`]: when the stamp at the tape
+/// cursor addressed the same `(row, col)` last time, its recorded slot is
+/// reused; otherwise the slot is looked up by binary search
+/// ([`CsrMatrix::find_slot`]) and the tape is re-recorded from the cursor
+/// on. A job whose stamp order changes between calls (a MOSFET whose drain
+/// and source swap roles) therefore stays correct and only pays the search
+/// where its order changed.
 #[derive(Debug)]
 pub struct SlotSink<'m, T: Scalar> {
     csr: &'m mut CsrMatrix<T>,
+    tape: &'m mut StampTape,
+    cursor: usize,
     missed: bool,
 }
 
 impl<'m, T: Scalar> SlotSink<'m, T> {
-    /// Wraps a CSR matrix whose values have already been zeroed.
-    pub fn new(csr: &'m mut CsrMatrix<T>) -> Self {
-        Self { csr, missed: false }
+    /// Wraps a CSR matrix whose values have already been zeroed, with the
+    /// tape of slots recorded over that matrix's pattern.
+    pub fn new(csr: &'m mut CsrMatrix<T>, tape: &'m mut StampTape) -> Self {
+        Self {
+            csr,
+            tape,
+            cursor: 0,
+            missed: false,
+        }
     }
 
     /// `true` when at least one stamp addressed a position outside the
@@ -117,8 +162,22 @@ impl<'m, T: Scalar> SlotSink<'m, T> {
 impl<T: Scalar> MatrixSink<T> for SlotSink<'_, T> {
     #[inline]
     fn add(&mut self, row: usize, col: usize, value: T) {
+        let entries = &mut self.tape.entries;
+        if let Some(&(r, c, slot)) = entries.get(self.cursor) {
+            if r == row && c == col {
+                debug_assert_eq!(self.csr.find_slot(row, col), Some(slot));
+                self.csr.values_mut()[slot] += value;
+                self.cursor += 1;
+                return;
+            }
+        }
         match self.csr.find_slot(row, col) {
-            Some(slot) => self.csr.values_mut()[slot] += value,
+            Some(slot) => {
+                entries.truncate(self.cursor);
+                entries.push((row, col, slot));
+                self.cursor += 1;
+                self.csr.values_mut()[slot] += value;
+            }
             None => self.missed = true,
         }
     }
@@ -246,6 +305,9 @@ impl SolveStats {
 #[derive(Debug)]
 pub struct CachedMna<T: Scalar> {
     csr: Option<CsrMatrix<T>>,
+    /// Slots of the stamps into `csr`, replayed by every cached assembly;
+    /// cleared whenever the pattern is rebuilt.
+    tape: StampTape,
     symbolic: Option<SymbolicLu>,
     /// The factorization whose L/U value buffers every refactorization
     /// reuses; handed out by reference from [`factor`](CachedMna::factor).
@@ -292,6 +354,7 @@ impl<T: Scalar> CachedMna<T> {
     pub fn new() -> Self {
         Self {
             csr: None,
+            tape: StampTape::new(),
             symbolic: None,
             lu: None,
             workspace: LuWorkspace::new(),
@@ -354,7 +417,8 @@ impl<T: Scalar> CachedMna<T> {
         if let Some(csr) = self.csr.as_mut() {
             csr.zero_values();
             let buf = std::mem::take(rhs);
-            let mut stamper = Stamper::with_sink_reusing(layout, SlotSink::new(csr), buf);
+            let mut stamper =
+                Stamper::with_sink_reusing(layout, SlotSink::new(csr, &mut self.tape), buf);
             job.stamp(&mut stamper);
             let (sink, out) = stamper.into_parts();
             let missed = sink.missed();
@@ -368,6 +432,7 @@ impl<T: Scalar> CachedMna<T> {
             // below.
             self.stats.pattern_rebuilds += 1;
             self.csr = None;
+            self.tape.clear();
             self.symbolic = None;
             self.lu = None;
             // The structure (and with it the auto backend decision) changed.
@@ -961,6 +1026,7 @@ impl<T: Scalar> SweepPlan<T> {
         SolveContext {
             plan: self,
             csr: self.pattern.clone(),
+            tape: StampTape::new(),
             lu: SparseLu::from_symbolic(&self.symbolic),
             workspace: LuWorkspace::for_dim(n),
             solve_work: vec![T::ZERO; n],
@@ -1011,6 +1077,9 @@ pub struct SolveContext<'p, T: Scalar> {
     plan: &'p SweepPlan<T>,
     /// Worker-owned value buffer over the plan's sparsity pattern.
     csr: CsrMatrix<T>,
+    /// Slots of the stamps into `csr` (the pattern never changes, so the
+    /// tape is never cleared).
+    tape: StampTape,
     /// Worker-owned L/U numeric buffers (pattern shared with the plan).
     lu: SparseLu<T>,
     workspace: LuWorkspace<T>,
@@ -1102,7 +1171,10 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
         // perturb the chunking-invariant per-point assembly counters.
         self.factored = false;
         self.csr.zero_values();
-        let mut stamper = Stamper::with_sink(self.plan.layout(), SlotSink::new(&mut self.csr));
+        let mut stamper = Stamper::with_sink(
+            self.plan.layout(),
+            SlotSink::new(&mut self.csr, &mut self.tape),
+        );
         anchor_job.stamp(&mut stamper);
         let (sink, _rhs) = stamper.into_parts();
         if sink.missed() {
@@ -1187,7 +1259,10 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
         self.off_pattern = None;
         self.factored = false;
         self.csr.zero_values();
-        let mut stamper = Stamper::with_sink(self.plan.layout(), SlotSink::new(&mut self.csr));
+        let mut stamper = Stamper::with_sink(
+            self.plan.layout(),
+            SlotSink::new(&mut self.csr, &mut self.tape),
+        );
         job.stamp(&mut stamper);
         let (sink, rhs) = stamper.into_parts();
         if !sink.missed() {
@@ -1688,6 +1763,143 @@ mod tests {
         let fresh = plan.context().solve(&on).unwrap();
         assert_eq!(after, fresh);
         assert_eq!(ctx.stats().numeric_refactor, 1);
+    }
+
+    /// The sink the stamp tape replaces: every stamp looked up by binary
+    /// search. Reference for the replay tests.
+    struct SearchSink<'m> {
+        csr: &'m mut CsrMatrix<f64>,
+    }
+
+    impl MatrixSink<f64> for SearchSink<'_> {
+        fn add(&mut self, row: usize, col: usize, value: f64) {
+            let slot = self.csr.find_slot(row, col).expect("stamp on pattern");
+            self.csr.values_mut()[slot] += value;
+        }
+    }
+
+    /// A MOSFET-shaped stamp over unknowns 0 (drain), 1 (source) and 2
+    /// (gate). `swap` exchanges the drain and source roles, so the same
+    /// positions are stamped in a different order; `skip` leaves out every
+    /// other channel entry.
+    struct SwapJob {
+        swap: bool,
+        skip: bool,
+        scale: f64,
+    }
+
+    impl AssembleMna<f64> for SwapJob {
+        fn stamp<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>) {
+            let (d, s, g) = if self.swap { (1, 0, 2) } else { (0, 1, 2) };
+            st.add_var_var(g, g, 1.0);
+            let channel = [(d, g), (d, d), (d, s), (s, g), (s, d), (s, s)];
+            for (k, &(row, col)) in channel.iter().enumerate() {
+                if self.skip && k % 2 == 1 {
+                    continue;
+                }
+                st.add_var_var(row, col, self.scale * (0.1 + 0.7 * k as f64));
+            }
+            // A second stamp into an already-stamped slot: accumulation
+            // order matters for the bits.
+            st.add_var_var(d, d, 0.3 * self.scale);
+            st.add_rhs_var(d, self.scale);
+        }
+    }
+
+    fn three_node_layout() -> MnaLayout {
+        let mut c = Circuit::new("tape test");
+        let a = c.node("a");
+        let b = c.node("b");
+        let g = c.node("g");
+        c.add_resistor("R1", a, b, 1.0e3);
+        c.add_resistor("R2", b, g, 1.0e3);
+        c.add_resistor("R3", g, Circuit::GROUND, 1.0e3);
+        MnaLayout::new(&c)
+    }
+
+    fn value_bits(m: &CsrMatrix<f64>) -> Vec<u64> {
+        m.iter().map(|(_, _, v)| v.to_bits()).collect()
+    }
+
+    /// `job` accumulated by binary search into a zeroed copy of `pattern`.
+    fn searched(layout: &MnaLayout, pattern: &CsrMatrix<f64>, job: &SwapJob) -> Vec<u64> {
+        let mut reference = pattern.clone();
+        reference.zero_values();
+        let mut st = Stamper::with_sink(
+            layout,
+            SearchSink {
+                csr: &mut reference,
+            },
+        );
+        job.stamp(&mut st);
+        value_bits(&reference)
+    }
+
+    #[test]
+    fn stamp_tape_replays_bitwise_under_changing_stamp_orders() {
+        let layout = three_node_layout();
+        // Orders flip on every call; every third call skips entries.
+        let jobs: Vec<SwapJob> = (0..9)
+            .map(|k| SwapJob {
+                swap: k % 2 == 1,
+                skip: k % 3 == 2,
+                scale: 1.0 + k as f64 / 7.0,
+            })
+            .collect();
+        let first = SwapJob {
+            swap: false,
+            skip: false,
+            scale: 1.0,
+        };
+
+        // The adaptive cache: its first assembly fixes the pattern, every
+        // later one runs through the tape.
+        let mut cache = CachedMna::<f64>::new();
+        cache.assemble(&layout, &first);
+        let pattern = cache.matrix().clone();
+        for (k, job) in jobs.iter().enumerate() {
+            let rhs = cache.assemble(&layout, job);
+            assert_eq!(
+                value_bits(cache.matrix()),
+                searched(&layout, &pattern, job),
+                "cached assembly {k}"
+            );
+            assert_eq!(rhs[job.swap as usize], job.scale);
+        }
+        assert_eq!(cache.stats().pattern_rebuilds, 0);
+        assert_eq!(cache.stats().cached_assemblies, jobs.len());
+
+        // A sweep context over a plan of the same pattern.
+        let plan = SweepPlan::<f64>::build(&layout, &first).unwrap();
+        let mut ctx = plan.context();
+        for (k, job) in jobs.iter().enumerate() {
+            ctx.assemble(job);
+            assert_eq!(
+                value_bits(ctx.matrix_mut()),
+                searched(&layout, &pattern, job),
+                "context assembly {k}"
+            );
+        }
+        assert_eq!(ctx.stats().pattern_rebuilds, 0);
+
+        // Batch lanes: one tape shared by clones of one pattern, each lane
+        // stamping a different job of the sequence.
+        let mut tape = StampTape::new();
+        let mut lanes = vec![pattern.clone(); 3];
+        for (k, group) in jobs.chunks(3).enumerate() {
+            for (lane, job) in lanes.iter_mut().zip(group) {
+                lane.zero_values();
+                let mut st = Stamper::with_sink(&layout, SlotSink::new(lane, &mut tape));
+                job.stamp(&mut st);
+                let (sink, _) = st.into_parts();
+                assert!(!sink.missed());
+                assert_eq!(
+                    value_bits(lane),
+                    searched(&layout, &pattern, job),
+                    "lane group {k}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! which is the entire point.
 
 use crate::ac::{AcAnalysis, AcSystem};
-use crate::assembly::{SlotSink, SolveContext, SolveStats, SweepPlan};
+use crate::assembly::{SlotSink, SolveContext, SolveStats, StampTape, SweepPlan};
 use crate::dc::OperatingPoint;
 use crate::error::SpiceError;
 use crate::mna::Stamper;
@@ -499,6 +499,9 @@ struct GroupRunner<'p> {
     var: usize,
     /// One value CSR per lane, cloned from the plan's shared zero pattern.
     lanes: Vec<CsrMatrix<Complex64>>,
+    /// Slots of the lane stamps, shared by every lane: the lanes are clones
+    /// of one pattern and stamp the same sequence into it.
+    tape: StampTape,
     batched: BatchedLu<Complex64>,
     /// Lane-interleaved unit-injection RHS / solution (`dim · width`).
     soa_rhs: Vec<Complex64>,
@@ -529,6 +532,7 @@ impl<'p> GroupRunner<'p> {
             dim: n,
             var,
             lanes: vec![plan.pattern().clone(); width],
+            tape: StampTape::new(),
             batched: BatchedLu::new(plan.symbolic(), width),
             soa_rhs: vec![Complex64::ZERO; n * width],
             soa_work: vec![Complex64::ZERO; n * width],
@@ -559,7 +563,7 @@ impl<'p> GroupRunner<'p> {
             let rhs = std::mem::take(&mut self.rhs_scratch);
             let mut st = Stamper::with_sink_reusing(
                 self.ctx.plan().layout(),
-                SlotSink::new(&mut self.lanes[k]),
+                SlotSink::new(&mut self.lanes[k], &mut self.tape),
                 rhs,
             );
             lane.analysis

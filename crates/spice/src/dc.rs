@@ -230,21 +230,21 @@ fn stamp_dc<S: MatrixSink<f64>>(
         );
     }
 
-    for el in circuit.elements() {
+    for (ei, el) in circuit.elements().iter().enumerate() {
         match el {
             Element::Resistor(r) => st.stamp_admittance(r.a, r.b, 1.0 / r.ohms),
             Element::Capacitor(_) => {
                 // Open circuit at DC.
             }
             Element::Inductor(l) => {
-                let br = layout.branch_var(&l.name).expect("inductor owns a branch");
+                let br = layout.element_branch(ei).expect("inductor owns a branch");
                 st.add_var_node(br, l.a, 1.0);
                 st.add_var_node(br, l.b, -1.0);
                 st.add_node_var(l.a, br, 1.0);
                 st.add_node_var(l.b, br, -1.0);
             }
             Element::Vsource(v) => {
-                let br = layout.branch_var(&v.name).expect("vsource owns a branch");
+                let br = layout.element_branch(ei).expect("vsource owns a branch");
                 st.add_var_node(br, v.plus, 1.0);
                 st.add_var_node(br, v.minus, -1.0);
                 st.add_node_var(v.plus, br, 1.0);
@@ -256,7 +256,7 @@ fn stamp_dc<S: MatrixSink<f64>>(
                 st.stamp_current_injection(i.minus, i.plus, i.spec.dc * source_scale);
             }
             Element::Vcvs(e) => {
-                let br = layout.branch_var(&e.name).expect("vcvs owns a branch");
+                let br = layout.element_branch(ei).expect("vcvs owns a branch");
                 st.add_var_node(br, e.out_plus, 1.0);
                 st.add_var_node(br, e.out_minus, -1.0);
                 st.add_var_node(br, e.ctrl_plus, -e.gain);
@@ -269,15 +269,15 @@ fn stamp_dc<S: MatrixSink<f64>>(
             }
             Element::Cccs(f) => {
                 let ctrl = layout
-                    .branch_var(&f.ctrl_vsource)
+                    .element_ctrl_branch(ei)
                     .expect("controlling source validated");
                 st.add_node_var(f.out_plus, ctrl, f.gain);
                 st.add_node_var(f.out_minus, ctrl, -f.gain);
             }
             Element::Ccvs(h) => {
-                let br = layout.branch_var(&h.name).expect("ccvs owns a branch");
+                let br = layout.element_branch(ei).expect("ccvs owns a branch");
                 let ctrl = layout
-                    .branch_var(&h.ctrl_vsource)
+                    .element_ctrl_branch(ei)
                     .expect("controlling source validated");
                 st.add_var_node(br, h.out_plus, 1.0);
                 st.add_var_node(br, h.out_minus, -1.0);
@@ -299,10 +299,10 @@ pub(crate) fn apply_nonlinear<S: MatrixSink<f64>>(
     st: &mut Stamper<'_, f64, S>,
     stamp: devices::NonlinearStamp,
 ) {
-    for (r, c, g) in stamp.conductances {
+    for &(r, c, g) in stamp.conductances() {
         st.add_node_node(r, c, g);
     }
-    for (n, i) in stamp.rhs_currents {
+    for &(n, i) in stamp.rhs_currents() {
         st.add_rhs_node(n, i);
     }
 }

@@ -32,14 +32,90 @@ fn limited_exp(x: f64) -> (f64, f64) {
     }
 }
 
+/// Most conductance entries one device stamp carries (a BJT's 3×3 block).
+const MAX_CONDUCTANCES: usize = 9;
+/// Most companion currents one device stamp carries (one per BJT terminal).
+const MAX_RHS_CURRENTS: usize = 3;
+
 /// Linearized contribution of a nonlinear device at a trial solution.
-#[derive(Debug, Clone, Default)]
+///
+/// The entries live in fixed-capacity inline arrays sized for the largest
+/// device — a BJT fills 9 conductances and 3 currents, a MOSFET 6 + 2, a
+/// diode 4 + 2 — so evaluating devices inside a Newton loop never touches
+/// the heap. The slices come back in stamp order, which is the order the
+/// analyses add them to the system.
+#[derive(Debug, Clone)]
 pub struct NonlinearStamp {
+    conductances: Entries<(NodeId, NodeId, f64), MAX_CONDUCTANCES>,
+    rhs_currents: Entries<(NodeId, f64), MAX_RHS_CURRENTS>,
+}
+
+impl Default for NonlinearStamp {
+    /// An empty stamp (a device that contributes nothing).
+    fn default() -> Self {
+        Self {
+            conductances: Entries::new((NodeId::GROUND, NodeId::GROUND, 0.0)),
+            rhs_currents: Entries::new((NodeId::GROUND, 0.0)),
+        }
+    }
+}
+
+impl NonlinearStamp {
     /// Conductance entries `(row node, column node, value)` to add to the MNA
     /// matrix. Ground rows/columns are filtered out by the stamper.
-    pub conductances: Vec<(NodeId, NodeId, f64)>,
+    pub fn conductances(&self) -> &[(NodeId, NodeId, f64)] {
+        &self.conductances
+    }
+
     /// Newton companion currents `(node, value)` to add to the RHS.
-    pub rhs_currents: Vec<(NodeId, f64)>,
+    pub fn rhs_currents(&self) -> &[(NodeId, f64)] {
+        &self.rhs_currents
+    }
+
+    fn push_conductance(&mut self, row: NodeId, col: NodeId, g: f64) {
+        self.conductances.push((row, col, g));
+    }
+
+    fn push_rhs_current(&mut self, node: NodeId, i: f64) {
+        self.rhs_currents.push((node, i));
+    }
+}
+
+/// A fixed-capacity inline list that reads as a slice of its first `len`
+/// items.
+#[derive(Clone)]
+struct Entries<E, const N: usize> {
+    items: [E; N],
+    len: usize,
+}
+
+impl<E: Copy, const N: usize> Entries<E, N> {
+    /// An empty list; `filler` only occupies the unused capacity.
+    fn new(filler: E) -> Self {
+        Self {
+            items: [filler; N],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, entry: E) {
+        self.items[self.len] = entry;
+        self.len += 1;
+    }
+}
+
+impl<E, const N: usize> std::ops::Deref for Entries<E, N> {
+    type Target = [E];
+
+    fn deref(&self) -> &[E] {
+        &self.items[..self.len]
+    }
+}
+
+impl<E: std::fmt::Debug, const N: usize> std::fmt::Debug for Entries<E, N> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Small-signal (AC) model of a device at the operating point.
@@ -59,8 +135,8 @@ pub fn node_voltage(voltages: &[f64], node: NodeId) -> f64 {
     voltages[node.index()]
 }
 
-fn two_terminal_conductance(a: NodeId, b: NodeId, g: f64) -> Vec<(NodeId, NodeId, f64)> {
-    vec![(a, a, g), (b, b, g), (a, b, -g), (b, a, -g)]
+fn two_terminal_conductance(a: NodeId, b: NodeId, g: f64) -> [(NodeId, NodeId, f64); 4] {
+    [(a, a, g), (b, b, g), (a, b, -g), (b, a, -g)]
 }
 
 // ---------------------------------------------------------------------------
@@ -75,10 +151,13 @@ pub fn stamp_diode(d: &Diode, voltages: &[f64]) -> NonlinearStamp {
     let id = d.model.is * (e - 1.0) + GMIN * vd;
     let gd = d.model.is * de / nvt + GMIN;
     let ieq = id - gd * vd;
-    NonlinearStamp {
-        conductances: two_terminal_conductance(d.anode, d.cathode, gd),
-        rhs_currents: vec![(d.anode, -ieq), (d.cathode, ieq)],
+    let mut stamp = NonlinearStamp::default();
+    for (r, c, g) in two_terminal_conductance(d.anode, d.cathode, gd) {
+        stamp.push_conductance(r, c, g);
     }
+    stamp.push_rhs_current(d.anode, -ieq);
+    stamp.push_rhs_current(d.cathode, ieq);
+    stamp
 }
 
 /// Small-signal model of a diode at the operating point.
@@ -88,7 +167,7 @@ pub fn small_signal_diode(d: &Diode, voltages: &[f64]) -> SmallSignal {
     let (_, de) = limited_exp(vd / nvt);
     let gd = d.model.is * de / nvt + GMIN;
     SmallSignal {
-        conductances: two_terminal_conductance(d.anode, d.cathode, gd),
+        conductances: two_terminal_conductance(d.anode, d.cathode, gd).to_vec(),
         capacitances: if d.model.cj0 > 0.0 {
             vec![(d.anode, d.cathode, d.model.cj0)]
         } else {
@@ -178,15 +257,14 @@ pub fn stamp_bjt(q: &Bjt, voltages: &[f64]) -> NonlinearStamp {
     let i_b = sign * e.ib;
 
     // Conductance rows for collector and base; emitter is the negative sum.
-    let mut conductances = Vec::with_capacity(9);
-    let mut rhs_currents = Vec::with_capacity(3);
+    let mut stamp = NonlinearStamp::default();
 
     let mut add_row = |terminal: NodeId, d_db: f64, d_dc: f64, d_de: f64, current: f64| {
-        conductances.push((terminal, q.base, d_db));
-        conductances.push((terminal, q.collector, d_dc));
-        conductances.push((terminal, q.emitter, d_de));
+        stamp.push_conductance(terminal, q.base, d_db);
+        stamp.push_conductance(terminal, q.collector, d_dc);
+        stamp.push_conductance(terminal, q.emitter, d_de);
         let ieq = current - (d_db * vb + d_dc * vc + d_de * ve);
-        rhs_currents.push((terminal, -ieq));
+        stamp.push_rhs_current(terminal, -ieq);
     };
 
     add_row(q.collector, dic_db, dic_dc, dic_de, i_c);
@@ -199,10 +277,7 @@ pub fn stamp_bjt(q: &Bjt, voltages: &[f64]) -> NonlinearStamp {
         -(i_c + i_b),
     );
 
-    NonlinearStamp {
-        conductances,
-        rhs_currents,
-    }
+    stamp
 }
 
 /// Small-signal model of a BJT at the operating point: g_pi, g_mu, g_m and
@@ -343,17 +418,16 @@ pub fn stamp_mosfet(m: &Mosfet, voltages: &[f64]) -> NonlinearStamp {
     let vs = node_voltage(voltages, s);
     let ieq = i_d - (did_dg * vg + did_dd * vd + did_ds * vs);
 
-    NonlinearStamp {
-        conductances: vec![
-            (d, g, did_dg),
-            (d, d, did_dd),
-            (d, s, did_ds),
-            (s, g, -did_dg),
-            (s, d, -did_dd),
-            (s, s, -did_ds),
-        ],
-        rhs_currents: vec![(d, -ieq), (s, ieq)],
-    }
+    let mut stamp = NonlinearStamp::default();
+    stamp.push_conductance(d, g, did_dg);
+    stamp.push_conductance(d, d, did_dd);
+    stamp.push_conductance(d, s, did_ds);
+    stamp.push_conductance(s, g, -did_dg);
+    stamp.push_conductance(s, d, -did_dd);
+    stamp.push_conductance(s, s, -did_ds);
+    stamp.push_rhs_current(d, -ieq);
+    stamp.push_rhs_current(s, ieq);
+    stamp
 }
 
 /// Small-signal model of a MOSFET at the operating point.

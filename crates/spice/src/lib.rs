@@ -65,7 +65,9 @@ pub mod solver;
 pub mod tran;
 
 pub use ac::{AcAnalysis, AcSweep, SolverStructure};
-pub use assembly::{AssembleMna, CachedMna, SlotSink, SolveContext, SolveStats, SweepPlan};
+pub use assembly::{
+    AssembleMna, CachedMna, SlotSink, SolveContext, SolveStats, StampTape, SweepPlan,
+};
 pub use batch::{
     driving_point_batch, driving_point_monte_carlo, BatchVariant, BatchedSweep, ParameterVariation,
     VariantOutcome,

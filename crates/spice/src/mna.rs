@@ -22,6 +22,12 @@ pub struct MnaLayout {
     node_names: Vec<String>,
     branch_names: Vec<String>,
     branch_index: HashMap<String, usize>,
+    /// Per element position: the unknown of the branch current the element
+    /// owns (voltage sources, inductors, VCVS, CCVS).
+    element_branch: Vec<Option<usize>>,
+    /// Per element position: the unknown of the controlling source's branch
+    /// current (CCCS, CCVS).
+    element_ctrl_branch: Vec<Option<usize>>,
 }
 
 impl MnaLayout {
@@ -43,12 +49,34 @@ impl MnaLayout {
             .signal_nodes_iter()
             .map(|n| circuit.node_name(n).to_string())
             .collect();
-        Self {
+        let mut layout = Self {
             node_count: circuit.node_count(),
             node_names,
             branch_names,
             branch_index,
-        }
+            element_branch: Vec::new(),
+            element_ctrl_branch: Vec::new(),
+        };
+        // Resolved by name once here, so the stamp loops index by position
+        // instead of hashing element names at every assembly.
+        let (branch, ctrl) = circuit
+            .elements()
+            .iter()
+            .map(|el| match el {
+                Element::Vsource(_) | Element::Inductor(_) | Element::Vcvs(_) => {
+                    (layout.branch_var(el.name()), None)
+                }
+                Element::Ccvs(h) => (
+                    layout.branch_var(&h.name),
+                    layout.branch_var(&h.ctrl_vsource),
+                ),
+                Element::Cccs(f) => (None, layout.branch_var(&f.ctrl_vsource)),
+                _ => (None, None),
+            })
+            .unzip();
+        layout.element_branch = branch;
+        layout.element_ctrl_branch = ctrl;
+        layout
     }
 
     /// Total number of unknowns (node voltages plus branch currents).
@@ -75,6 +103,21 @@ impl MnaLayout {
         self.branch_index
             .get(element_name)
             .map(|&i| (self.node_count - 1) + i)
+    }
+
+    /// Unknown index of the branch current owned by the element at position
+    /// `element` of the circuit's element list (what [`branch_var`] returns
+    /// for its name), without hashing the name.
+    ///
+    /// [`branch_var`]: MnaLayout::branch_var
+    pub(crate) fn element_branch(&self, element: usize) -> Option<usize> {
+        self.element_branch[element]
+    }
+
+    /// Unknown index of the controlling source's branch current of the
+    /// current-controlled source at position `element`.
+    pub(crate) fn element_ctrl_branch(&self, element: usize) -> Option<usize> {
+        self.element_ctrl_branch[element]
     }
 
     /// Human-readable name of an unknown, for error enrichment: node-voltage

@@ -487,7 +487,7 @@ impl<'c> TransientAnalysis<'c> {
         for (ei, el) in self.circuit.elements().iter().enumerate() {
             if let Element::Inductor(l) = el {
                 if let Some(i0) = op.branch_current(&l.name) {
-                    if let Some(var) = self.layout.branch_var(&l.name) {
+                    if let Some(var) = self.layout.element_branch(ei) {
                         branch_currents[var] = i0;
                     }
                 }
@@ -828,7 +828,7 @@ impl<'c> TransientAnalysis<'c> {
                     }
                 }
                 Element::Inductor(l) => {
-                    let br = self.layout.branch_var(&l.name).expect("branch");
+                    let br = self.layout.element_branch(ei).expect("branch");
                     let i_old = prev_solution[br];
                     st.add_var_node(br, l.a, 1.0);
                     st.add_var_node(br, l.b, -1.0);
@@ -845,7 +845,7 @@ impl<'c> TransientAnalysis<'c> {
                     }
                 }
                 Element::Vsource(v) => {
-                    let br = self.layout.branch_var(&v.name).expect("branch");
+                    let br = self.layout.element_branch(ei).expect("branch");
                     st.add_var_node(br, v.plus, 1.0);
                     st.add_var_node(br, v.minus, -1.0);
                     st.add_node_var(v.plus, br, 1.0);
@@ -856,7 +856,7 @@ impl<'c> TransientAnalysis<'c> {
                     st.stamp_current_injection(i.minus, i.plus, source_value(&i.spec));
                 }
                 Element::Vcvs(e) => {
-                    let br = self.layout.branch_var(&e.name).expect("branch");
+                    let br = self.layout.element_branch(ei).expect("branch");
                     st.add_var_node(br, e.out_plus, 1.0);
                     st.add_var_node(br, e.out_minus, -1.0);
                     st.add_var_node(br, e.ctrl_plus, -e.gain);
@@ -870,16 +870,16 @@ impl<'c> TransientAnalysis<'c> {
                 Element::Cccs(f) => {
                     let ctrl = self
                         .layout
-                        .branch_var(&f.ctrl_vsource)
+                        .element_ctrl_branch(ei)
                         .expect("controlling source validated");
                     st.add_node_var(f.out_plus, ctrl, f.gain);
                     st.add_node_var(f.out_minus, ctrl, -f.gain);
                 }
                 Element::Ccvs(h) => {
-                    let br = self.layout.branch_var(&h.name).expect("branch");
+                    let br = self.layout.element_branch(ei).expect("branch");
                     let ctrl = self
                         .layout
-                        .branch_var(&h.ctrl_vsource)
+                        .element_ctrl_branch(ei)
                         .expect("controlling source validated");
                     st.add_var_node(br, h.out_plus, 1.0);
                     st.add_var_node(br, h.out_minus, -1.0);

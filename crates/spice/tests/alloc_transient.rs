@@ -1,9 +1,12 @@
 //! Counting-allocator proof that the transient driver's **steady-state
 //! loop** is allocation-free on the solver side: every Newton iteration of
 //! every timestep cycles hoisted buffers through
-//! `CachedMna::solve_in_place` (in-place assembly, numeric refactorization,
-//! in-place substitution), so the only per-step allocation left is the one
-//! result row the waveform storage clones.
+//! `CachedMna::solve_in_place` (in-place assembly replayed from the stamp
+//! tape, numeric refactorization, in-place substitution), so the only
+//! per-step allocation left is the one result row the waveform storage
+//! clones. The proof covers a linear circuit (one Newton iteration per step)
+//! and the same circuit with a diode (several iterations per step, each
+//! evaluating the device into an inline `NonlinearStamp`).
 //!
 //! Methodology: the setup cost (pattern discovery, symbolic analysis,
 //! buffer minting) is a per-run constant, so two runs differing only in
@@ -13,7 +16,7 @@
 //! in this binary may touch the counter, because sibling tests run on
 //! parallel threads and would race it.
 
-use loopscope_netlist::{Circuit, SourceSpec};
+use loopscope_netlist::{Circuit, DiodeModel, SourceSpec};
 use loopscope_spice::dc::solve_dc;
 use loopscope_spice::tran::{TransientAnalysis, TransientOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -51,20 +54,25 @@ fn allocation_count() -> usize {
 
 /// An RC divider with a step source: linear (one Newton iteration per
 /// step), with a capacitor so the companion models restamp every step.
-fn circuit() -> Circuit {
+/// With `diode`, a default diode from `out` to ground makes every step a
+/// multi-iteration Newton solve that re-evaluates the device.
+fn circuit(diode: bool) -> Circuit {
     let mut c = Circuit::new("alloc tran");
     let vin = c.node("in");
     let vout = c.node("out");
     c.add_vsource("V1", vin, Circuit::GROUND, SourceSpec::step(0.0, 1.0, 0.0));
     c.add_resistor("R1", vin, vout, 1.0e3);
     c.add_capacitor("C1", vout, Circuit::GROUND, 1.0e-6);
+    if diode {
+        c.add_diode("D1", vout, Circuit::GROUND, DiodeModel::default());
+    }
     c
 }
 
 /// Allocations of one whole transient run of `steps` steps (dt chosen so
 /// t_stop is a non-multiple, exercising the shortened final step too).
-fn run_allocations(steps: usize) -> usize {
-    let c = circuit();
+fn run_allocations(steps: usize, diode: bool) -> usize {
+    let c = circuit(diode);
     let op = solve_dc(&c).unwrap();
     let dt = 10.0e-6;
     // Non-multiple stop time: `steps` full steps plus a shortened one.
@@ -82,10 +90,10 @@ fn run_allocations(steps: usize) -> usize {
 fn transient_steady_state_loop_allocates_only_result_rows() {
     // Warm up lazily initialized runtime bits (thread-locals, fmt buffers…)
     // so they don't pollute the measured difference.
-    let _ = run_allocations(8);
+    let _ = run_allocations(8, false);
 
-    let small = run_allocations(50);
-    let large = run_allocations(150);
+    let small = run_allocations(50, false);
+    let large = run_allocations(150, false);
     let extra_steps = 100;
     let per_step = (large.saturating_sub(small)) as f64 / extra_steps as f64;
 
@@ -99,6 +107,19 @@ fn transient_steady_state_loop_allocates_only_result_rows() {
         "steady-state transient loop allocates {per_step:.2} times per step \
          (runs: {small} allocs @ 50 steps, {large} @ 150 steps); \
          the Newton loop must not allocate"
+    );
+
+    // The same bound with a diode: several Newton iterations per step, each
+    // evaluating the device stamp, and still no allocation beyond the row.
+    let _ = run_allocations(8, true);
+    let small = run_allocations(50, true);
+    let large = run_allocations(150, true);
+    let per_step = (large.saturating_sub(small)) as f64 / extra_steps as f64;
+    assert!(
+        per_step <= 2.0,
+        "steady-state nonlinear transient loop allocates {per_step:.2} times per \
+         step (runs: {small} allocs @ 50 steps, {large} @ 150 steps); \
+         device stamps must not allocate"
     );
 
     // Sanity-check that the counter actually counts, so the bound above is
