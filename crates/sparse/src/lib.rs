@@ -27,7 +27,15 @@
 //!   irreducible patterns degenerate to the plain ordered factorization.
 //!   [`SparseLu::solve_block_into`] solves a whole panel of right-hand
 //!   sides per traversal — bitwise identical, column for column, to
-//!   independent [`SparseLu::solve_into`] calls.
+//!   independent [`SparseLu::solve_into`] calls. When only the diagonal of
+//!   `A⁻¹` is wanted (driving-point impedances),
+//!   [`SymbolicLu::driving_point_schedule`] lists once per pattern which
+//!   substitution rows each panel of unit injections depends on, and
+//!   [`SparseLu::solve_driving_points_into`] runs just those rows, through
+//!   the same row arithmetic, so each entry stays bitwise equal to the full
+//!   solve's. The schedule applies only to factorizations sharing its
+//!   pattern ([`DrivingPointSchedule::applies_to`]): a fresh-pivoting
+//!   fallback needs full solves.
 //! * [`SparseLu`] — flat-storage LU. [`SparseLu::factor`] runs partial
 //!   pivoting in natural column order;
 //!   [`SparseLu::factor_ordered`] eliminates columns in a fill-reducing order
@@ -112,9 +120,9 @@ pub use gmres::{
 };
 pub use kernels::KernelBackend;
 pub use lu::{
-    normwise_backward_error, solve_once, BatchLaneStatus, BatchedLu, LuWorkspace, RefineWorkspace,
-    SolveError, SolveQuality, SparseLu, SymbolicLu, ORDERED_PIVOT_THRESHOLD,
-    REFINE_BACKWARD_TOLERANCE, REFINE_MAX_STEPS,
+    normwise_backward_error, solve_once, BatchLaneStatus, BatchedLu, DrivingPointSchedule,
+    LuWorkspace, RefineWorkspace, SolveError, SolveQuality, SparseLu, SymbolicLu,
+    ORDERED_PIVOT_THRESHOLD, REFINE_BACKWARD_TOLERANCE, REFINE_MAX_STEPS,
 };
 pub use scalar::Scalar;
 pub use triplet::TripletMatrix;

@@ -291,6 +291,231 @@ impl SymbolicLu {
             }),
         }
     }
+
+    /// The pruned substitution schedule of a driving-point scan: unit
+    /// injections at the original unknowns `vars`, each read back at the
+    /// same unknown (`Z_vv`, the diagonal of `A⁻¹`), batched into panels of
+    /// `panel_width` consecutive injections — what
+    /// [`SparseLu::solve_driving_points_into`] runs over every
+    /// factorization sharing this pattern.
+    ///
+    /// Per panel the schedule lists, in the execution order of
+    /// [`SparseLu::solve_block_into`] (blocks last to first, forward rows
+    /// ascending, backward rows descending), the substitution steps some
+    /// lane needs: a step is kept when its value can be nonzero for a lane
+    /// (reachable through L, F and U from that lane's unit entry) **and**
+    /// that lane's read-out depends on it. Each read-out step is kept
+    /// unconditionally, so a structurally zero `Z_vv` still runs the same
+    /// final division as the full solve. The pattern is value-independent,
+    /// so one schedule serves a whole frequency sweep.
+    ///
+    /// Built by propagating 64-lane bit masks — one forward and one reverse
+    /// scan over the pattern per 64 injections, O(nnz·⌈|vars|/64⌉).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `panel_width` is zero or an entry of `vars` is not an
+    /// unknown of this pattern.
+    pub fn driving_point_schedule(
+        &self,
+        vars: &[usize],
+        panel_width: usize,
+    ) -> DrivingPointSchedule {
+        let p = &*self.pattern;
+        let n = p.n;
+        assert!(
+            panel_width >= 1,
+            "driving-point panels need at least one lane"
+        );
+        assert!(
+            vars.iter().all(|&v| v < n),
+            "driving-point injection outside the {n}-unknown system"
+        );
+        let mut pinv = vec![0usize; n];
+        for (i, &r) in p.perm.iter().enumerate() {
+            pinv[r] = i;
+        }
+        let seed_rows: Vec<usize> = vars.iter().map(|&v| pinv[v]).collect();
+        let out_rows: Vec<usize> = vars.iter().map(|&v| p.cpos[v]).collect();
+        let blocks = p.block_ptr.len() - 1;
+        // Per elimination row, one bit per lane of the current 64-injection
+        // word: `reach_*` = the forward/backward value can be nonzero,
+        // `keep_*` = some read-out depends on it (then narrowed to both).
+        let mut reach_f = vec![0u64; n];
+        let mut reach_b = vec![0u64; n];
+        let mut keep_f = vec![0u64; n];
+        let mut keep_b = vec![0u64; n];
+        // Steps of the panel being collected; a panel may span several
+        // words.
+        let mut panel_f = vec![false; n];
+        let mut panel_b = vec![false; n];
+        let mut steps = Vec::new();
+        let mut step_ptr = vec![0];
+        for word_start in (0..vars.len()).step_by(64) {
+            let word_end = (word_start + 64).min(vars.len());
+            reach_f.fill(0);
+            reach_b.fill(0);
+            keep_f.fill(0);
+            keep_b.fill(0);
+            for m in word_start..word_end {
+                let bit = 1u64 << (m - word_start);
+                reach_f[seed_rows[m]] |= bit;
+                keep_b[out_rows[m]] |= bit;
+            }
+            // Execution order: which slots can hold a nonzero.
+            for b in (0..blocks).rev() {
+                let (bs, be) = (p.block_ptr[b], p.block_ptr[b + 1]);
+                for i in bs..be {
+                    let mut m = reach_f[i];
+                    for &c in &p.f_cols[p.f_ptr[i]..p.f_ptr[i + 1]] {
+                        m |= reach_b[c];
+                    }
+                    for &c in &p.l_cols[p.l_ptr[i]..p.l_ptr[i + 1]] {
+                        m |= reach_f[c];
+                    }
+                    reach_f[i] = m;
+                }
+                for i in (bs..be).rev() {
+                    let mut m = reach_f[i];
+                    for &c in &p.u_cols[p.u_ptr[i] + 1..p.u_ptr[i + 1]] {
+                        m |= reach_b[c];
+                    }
+                    reach_b[i] = m;
+                }
+            }
+            // Reverse execution order: which slots each read-out reads.
+            for b in 0..blocks {
+                let (bs, be) = (p.block_ptr[b], p.block_ptr[b + 1]);
+                for i in bs..be {
+                    let m = keep_b[i];
+                    keep_f[i] |= m;
+                    for &c in &p.u_cols[p.u_ptr[i] + 1..p.u_ptr[i + 1]] {
+                        keep_b[c] |= m;
+                    }
+                }
+                for i in (bs..be).rev() {
+                    let m = keep_f[i];
+                    for &c in &p.f_cols[p.f_ptr[i]..p.f_ptr[i + 1]] {
+                        keep_b[c] |= m;
+                    }
+                    for &c in &p.l_cols[p.l_ptr[i]..p.l_ptr[i + 1]] {
+                        keep_f[c] |= m;
+                    }
+                }
+            }
+            for (k, r) in keep_f.iter_mut().zip(&reach_f) {
+                *k &= r;
+            }
+            for (k, r) in keep_b.iter_mut().zip(&reach_b) {
+                *k &= r;
+            }
+            for m in word_start..word_end {
+                keep_b[out_rows[m]] |= 1u64 << (m - word_start);
+            }
+            // Fold the word into every panel it overlaps; emit the panels
+            // that end inside it.
+            for panel in word_start / panel_width..=(word_end - 1) / panel_width {
+                let lo = (panel * panel_width).max(word_start) - word_start;
+                let hi = ((panel + 1) * panel_width).min(word_end) - word_start;
+                let lanes = (u64::MAX >> (64 - (hi - lo))) << lo;
+                for (on, k) in panel_f.iter_mut().zip(&keep_f) {
+                    *on |= k & lanes != 0;
+                }
+                for (on, k) in panel_b.iter_mut().zip(&keep_b) {
+                    *on |= k & lanes != 0;
+                }
+                if ((panel + 1) * panel_width).min(vars.len()) > word_end {
+                    continue;
+                }
+                for b in (0..blocks).rev() {
+                    let (bs, be) = (p.block_ptr[b], p.block_ptr[b + 1]);
+                    for (i, on) in (bs..be).zip(&mut panel_f[bs..be]) {
+                        if std::mem::take(on) {
+                            steps.push(PanelStep::Forward(i));
+                        }
+                    }
+                    for (i, on) in (bs..be).zip(&mut panel_b[bs..be]).rev() {
+                        if std::mem::take(on) {
+                            steps.push(PanelStep::Backward(i));
+                        }
+                    }
+                }
+                step_ptr.push(steps.len());
+            }
+        }
+        DrivingPointSchedule {
+            pattern: Arc::clone(&self.pattern),
+            vars: vars.to_vec(),
+            panel_width,
+            seed_rows,
+            out_rows,
+            steps,
+            step_ptr,
+        }
+    }
+}
+
+/// One substitution step of a [`DrivingPointSchedule`] panel, by
+/// elimination row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PanelStep {
+    /// Forward substitution (F then L entries) of the row.
+    Forward(usize),
+    /// Back substitution (U entries, then the diagonal division) of the row.
+    Backward(usize),
+}
+
+impl PanelStep {
+    fn row(self) -> usize {
+        match self {
+            PanelStep::Forward(i) | PanelStep::Backward(i) => i,
+        }
+    }
+}
+
+/// Which substitution rows each panel of a driving-point scan needs — the
+/// frequency-independent half of
+/// [`SparseLu::solve_driving_points_into`], built once per pattern by
+/// [`SymbolicLu::driving_point_schedule`] and shared read-only by every
+/// worker of a sweep.
+///
+/// It holds the pattern it was built from: it serves exactly the
+/// factorizations that still share that pattern
+/// ([`applies_to`](DrivingPointSchedule::applies_to)), i.e. successful
+/// numeric refactorizations, and not a fresh-pivoting fallback.
+#[derive(Debug, Clone)]
+pub struct DrivingPointSchedule {
+    pattern: Arc<LuPattern>,
+    vars: Vec<usize>,
+    panel_width: usize,
+    /// Per injection: the elimination row holding its unit entry.
+    seed_rows: Vec<usize>,
+    /// Per injection: the elimination slot its response is read from.
+    out_rows: Vec<usize>,
+    /// `steps[step_ptr[p]..step_ptr[p + 1]]` is panel `p`, in execution
+    /// order.
+    steps: Vec<PanelStep>,
+    step_ptr: Vec<usize>,
+}
+
+impl DrivingPointSchedule {
+    /// The injected (and read-back) original unknowns, in output order.
+    pub fn vars(&self) -> &[usize] {
+        &self.vars
+    }
+
+    /// Injections per panel; the last panel may hold fewer.
+    pub fn panel_width(&self) -> usize {
+        self.panel_width
+    }
+
+    /// `true` when `lu` was factored over the pattern this schedule was
+    /// built from — always after a successful numeric refactorization
+    /// against the same [`SymbolicLu`], never after a fresh-pivoting
+    /// fallback or an independent factorization.
+    pub fn applies_to<T: Scalar>(&self, lu: &SparseLu<T>) -> bool {
+        Arc::ptr_eq(&self.pattern, &lu.pattern)
+    }
 }
 
 /// Largest modulus per *elimination* column of `matrix` (original columns
@@ -1641,15 +1866,8 @@ impl<T: Scalar> SparseLu<T> {
             });
         }
         // The work panel is interleaved — the k slots of elimination row i
-        // are contiguous at i·k — so the inner per-column loops stream over
-        // adjacent memory while the factor entry (index + value) is loaded
-        // exactly once. Each k-wide update runs as one panel kernel on the
-        // recorded backend (lane = RHS column, so per-column operation
-        // order — and therefore the bitwise guarantee against `solve_into`
-        // — is untouched). F and U sources live in later elimination rows
-        // than the destination, L sources in earlier ones, which is what
-        // makes the borrow splits below valid.
-        let backend = p.backend;
+        // are contiguous at i·k — so each factor entry is loaded once and
+        // streams over k adjacent slots (see `panel_forward_row`).
         for b in (0..p.block_ptr.len() - 1).rev() {
             let (bs, be) = (p.block_ptr[b], p.block_ptr[b + 1]);
             for i in bs..be {
@@ -1658,35 +1876,10 @@ impl<T: Scalar> SparseLu<T> {
                 for j in 0..k {
                     work[row + j] = rhs[j * p.n + pr];
                 }
-                {
-                    // Off-diagonal block entries: sources in later blocks.
-                    let (head, tail) = work.split_at_mut(row + k);
-                    let dst = &mut head[row..];
-                    for t in p.f_ptr[i]..p.f_ptr[i + 1] {
-                        let src = p.f_cols[t] * k - (row + k);
-                        T::kernel_panel_axpy(backend, self.f_vals[t], &tail[src..src + k], dst);
-                    }
-                }
-                {
-                    // L entries: sources in earlier elimination rows.
-                    let (head, tail) = work.split_at_mut(row);
-                    let dst = &mut tail[..k];
-                    for t in p.l_ptr[i]..p.l_ptr[i + 1] {
-                        let src = p.l_cols[t] * k;
-                        T::kernel_panel_axpy(backend, self.l_vals[t], &head[src..src + k], dst);
-                    }
-                }
+                self.panel_forward_row(i, k, work);
             }
             for i in (bs..be).rev() {
-                let start = p.u_ptr[i];
-                let row = i * k;
-                let (head, tail) = work.split_at_mut(row + k);
-                let dst = &mut head[row..];
-                for t in (start + 1)..p.u_ptr[i + 1] {
-                    let src = p.u_cols[t] * k - (row + k);
-                    T::kernel_panel_axpy(backend, self.u_vals[t], &tail[src..src + k], dst);
-                }
-                T::kernel_panel_div(backend, self.u_vals[start], dst);
+                self.panel_backward_row(i, k, work);
             }
         }
         for i in 0..p.n {
@@ -1694,6 +1887,167 @@ impl<T: Scalar> SparseLu<T> {
             let row = i * k;
             for j in 0..k {
                 rhs[j * p.n + c] = work[row + j];
+            }
+        }
+        Ok(())
+    }
+
+    /// Forward substitution of elimination row `i` over an interleaved
+    /// `k`-lane panel (the `k` slots of row `r` contiguous at `r·k`): folds
+    /// the row's F entries, then its L entries, into the row's slots, which
+    /// hold the right-hand side on entry. Every factor entry is loaded once
+    /// and streams over the `k` lanes as one panel kernel on the recorded
+    /// backend (lane = RHS column, so per-column operation order — and the
+    /// bitwise guarantee against `solve_into` — is untouched). F sources
+    /// live in later elimination rows, L sources in earlier ones, which is
+    /// what makes the borrow splits valid.
+    #[inline(always)]
+    fn panel_forward_row(&self, i: usize, k: usize, work: &mut [T]) {
+        let p = &*self.pattern;
+        let row = i * k;
+        {
+            // Off-diagonal block entries: sources in later blocks.
+            let (head, tail) = work.split_at_mut(row + k);
+            let dst = &mut head[row..];
+            for t in p.f_ptr[i]..p.f_ptr[i + 1] {
+                let src = p.f_cols[t] * k - (row + k);
+                T::kernel_panel_axpy(p.backend, self.f_vals[t], &tail[src..src + k], dst);
+            }
+        }
+        // L entries: sources in earlier elimination rows.
+        let (head, tail) = work.split_at_mut(row);
+        let dst = &mut tail[..k];
+        for t in p.l_ptr[i]..p.l_ptr[i + 1] {
+            let src = p.l_cols[t] * k;
+            T::kernel_panel_axpy(p.backend, self.l_vals[t], &head[src..src + k], dst);
+        }
+    }
+
+    /// Back substitution of elimination row `i` over an interleaved
+    /// `k`-lane panel (layout as in `panel_forward_row`): folds the
+    /// off-diagonal U entries (sources in later rows), then divides by the
+    /// pivot.
+    #[inline(always)]
+    fn panel_backward_row(&self, i: usize, k: usize, work: &mut [T]) {
+        let p = &*self.pattern;
+        let start = p.u_ptr[i];
+        let row = i * k;
+        let (head, tail) = work.split_at_mut(row + k);
+        let dst = &mut head[row..];
+        for t in (start + 1)..p.u_ptr[i + 1] {
+            let src = p.u_cols[t] * k - (row + k);
+            T::kernel_panel_axpy(p.backend, self.u_vals[t], &tail[src..src + k], dst);
+        }
+        T::kernel_panel_div(p.backend, self.u_vals[start], dst);
+    }
+
+    /// Driving-point responses of this factorization: `out[m]` receives
+    /// entry `v` of `A⁻¹·e_v` for `v = schedule.vars()[m]` — the diagonal of
+    /// `A⁻¹` the all-nodes stability scan needs, one number per injection.
+    ///
+    /// Injections run in the schedule's panels over an interleaved
+    /// `panel_width`-lane work panel, like
+    /// [`solve_block_into`](SparseLu::solve_block_into), but each panel
+    /// runs only the substitution rows its
+    /// [`DrivingPointSchedule`] lists — through the **same** row
+    /// functions, so every scheduled row folds all of its entries in the
+    /// same order. A skipped row either holds an exact zero in the full
+    /// solve or feeds no wanted entry, and a skipped term is a product with
+    /// an exact zero, which cannot change a nonzero accumulator. With
+    /// finite factors every response is therefore **bitwise identical** to
+    /// the same entry of [`solve_into`](SparseLu::solve_into) on the unit
+    /// vector.
+    ///
+    /// `work` must hold only zeros on entry (a fresh `vec![T::ZERO; len]`
+    /// does); each panel re-zeroes the rows it touched, so the call leaves
+    /// it that way for the next one. Performs no heap allocation.
+    ///
+    /// ```
+    /// use loopscope_sparse::{SparseLu, TripletMatrix};
+    ///
+    /// let mut t = TripletMatrix::<f64>::new(2, 2);
+    /// t.push(0, 0, 2.0);
+    /// t.push(0, 1, 1.0);
+    /// t.push(1, 0, 1.0);
+    /// t.push(1, 1, 3.0);
+    /// let (lu, symbolic) = SparseLu::factor_with_symbolic(&t.to_csr())?;
+    /// let schedule = symbolic.driving_point_schedule(&[0, 1], 2);
+    /// let mut z = vec![0.0; 2];
+    /// let mut work = vec![0.0; 2 * 2];
+    /// lu.solve_driving_points_into(&schedule, &mut z, &mut work)?;
+    /// // diag(A⁻¹) = [3/5, 2/5]
+    /// assert!((z[0] - 0.6).abs() < 1e-12 && (z[1] - 0.4).abs() < 1e-12);
+    /// # Ok::<(), loopscope_sparse::SolveError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolveError::RhsLength`] when `out.len()` differs from the
+    /// number of injections or `work.len()` from `dim · panel_width`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `schedule` does not
+    /// [apply](DrivingPointSchedule::applies_to) to this factorization, and
+    /// when called on an unfilled [`from_symbolic`](SparseLu::from_symbolic)
+    /// shell.
+    pub fn solve_driving_points_into(
+        &self,
+        schedule: &DrivingPointSchedule,
+        out: &mut [T],
+        work: &mut [T],
+    ) -> Result<(), SolveError> {
+        let p = &*self.pattern;
+        assert_eq!(
+            self.u_vals.len(),
+            p.u_cols.len(),
+            "solve on an unfactored SparseLu shell: refactor_into must succeed first"
+        );
+        assert!(
+            schedule.applies_to(self),
+            "driving-point schedule built over a different factorization pattern"
+        );
+        if out.len() != schedule.vars.len() {
+            return Err(SolveError::RhsLength {
+                expected: schedule.vars.len(),
+                got: out.len(),
+            });
+        }
+        let width = schedule.panel_width;
+        if work.len() != p.n * width {
+            return Err(SolveError::RhsLength {
+                expected: p.n * width,
+                got: work.len(),
+            });
+        }
+        debug_assert!(
+            work.iter().all(|v| v.is_zero()),
+            "driving-point work panel must be all zeros on entry"
+        );
+        for (panel, out) in out.chunks_mut(width).enumerate() {
+            let k = out.len();
+            let lanes = panel * width..panel * width + k;
+            let seeds = &schedule.seed_rows[lanes.clone()];
+            let reads = &schedule.out_rows[lanes];
+            let steps = &schedule.steps[schedule.step_ptr[panel]..schedule.step_ptr[panel + 1]];
+            for (j, &s) in seeds.iter().enumerate() {
+                work[s * k + j] = T::ONE;
+            }
+            for &step in steps {
+                match step {
+                    PanelStep::Forward(i) => self.panel_forward_row(i, k, work),
+                    PanelStep::Backward(i) => self.panel_backward_row(i, k, work),
+                }
+            }
+            for (j, (&r, z)) in reads.iter().zip(out.iter_mut()).enumerate() {
+                *z = work[r * k + j];
+            }
+            for &step in steps {
+                let row = step.row() * k;
+                work[row..row + k].fill(T::ZERO);
+            }
+            for (j, &s) in seeds.iter().enumerate() {
+                work[s * k + j] = T::ZERO;
             }
         }
         Ok(())
@@ -3432,6 +3786,210 @@ mod tests {
         ));
         // A zero-width panel is a no-op.
         lu.solve_block_into(&mut [], 0, &mut []).unwrap();
+    }
+
+    /// A scrambled block cascade of dimension `n`: diagonally dominant
+    /// blocks of 1–6 unknowns with pseudo-random in-block and one-way
+    /// cross-block couplings, rows permuted so pivot rows and read-out
+    /// columns land in different blocks.
+    fn scrambled_cascade(n: usize, seed: u64) -> CsrMatrix<f64> {
+        let mut state = seed;
+        let mut next = move |m: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as usize) % m
+        };
+        let mut starts = vec![0];
+        while *starts.last().unwrap() < n {
+            let s = *starts.last().unwrap() + 1 + next(6);
+            starts.push(s.min(n));
+        }
+        let block_of = |i: usize| starts.windows(2).position(|w| i < w[1]).unwrap();
+        let mut t = TripletMatrix::<f64>::new(n, n);
+        let row = |r: usize| (r * 7 + 3) % n; // n coprime with 7
+        for i in 0..n {
+            t.push(row(i), i, 20.0);
+            for _ in 0..2 {
+                let b = block_of(i);
+                let j = starts[b] + next(starts[b + 1] - starts[b]);
+                if j != i {
+                    t.push(row(i), j, 1.0 + next(5) as f64);
+                }
+            }
+            if block_of(i) > 0 && next(2) == 0 {
+                t.push(row(i), next(starts[block_of(i)]), -1.5);
+            }
+        }
+        t.to_csr()
+    }
+
+    /// The schedule of one panel by explicit graph search over the
+    /// substitution steps, lane by lane — independent of the mask scans.
+    fn reference_panel_steps(p: &LuPattern, seeds: &[usize], outs: &[usize]) -> Vec<PanelStep> {
+        let n = p.n;
+        // Step ids: forward row i is i, backward row i is n + i. `reads`
+        // lists, per step, the steps whose results it folds.
+        let mut reads = vec![Vec::new(); 2 * n];
+        for i in 0..n {
+            reads[i].extend(p.l_cols[p.l_ptr[i]..p.l_ptr[i + 1]].iter().copied());
+            reads[i].extend(p.f_cols[p.f_ptr[i]..p.f_ptr[i + 1]].iter().map(|&c| n + c));
+            reads[n + i].push(i);
+            reads[n + i].extend(
+                p.u_cols[p.u_ptr[i] + 1..p.u_ptr[i + 1]]
+                    .iter()
+                    .map(|&c| n + c),
+            );
+        }
+        let mut readers = vec![Vec::new(); 2 * n];
+        for (s, srcs) in reads.iter().enumerate() {
+            for &src in srcs {
+                readers[src].push(s);
+            }
+        }
+        let search = |start: usize, edges: &Vec<Vec<usize>>| {
+            let mut seen = vec![false; 2 * n];
+            let mut stack = vec![start];
+            seen[start] = true;
+            while let Some(s) = stack.pop() {
+                for &t in &edges[s] {
+                    if !seen[t] {
+                        seen[t] = true;
+                        stack.push(t);
+                    }
+                }
+            }
+            seen
+        };
+        let mut keep = vec![false; 2 * n];
+        for (&seed, &out) in seeds.iter().zip(outs) {
+            let reach = search(seed, &readers);
+            let need = search(n + out, &reads);
+            for s in 0..2 * n {
+                keep[s] |= reach[s] && need[s];
+            }
+            keep[n + out] = true;
+        }
+        let mut steps = Vec::new();
+        for b in (0..p.block_ptr.len() - 1).rev() {
+            let (bs, be) = (p.block_ptr[b], p.block_ptr[b + 1]);
+            steps.extend((bs..be).filter(|&i| keep[i]).map(PanelStep::Forward));
+            steps.extend(
+                (bs..be)
+                    .rev()
+                    .filter(|&i| keep[n + i])
+                    .map(PanelStep::Backward),
+            );
+        }
+        steps
+    }
+
+    #[test]
+    fn driving_point_schedule_matches_a_per_lane_graph_search() {
+        let n = 157;
+        let a = scrambled_cascade(n, 11);
+        let (_, symbolic) = SparseLu::factor_with_symbolic_btf(&a).unwrap();
+        assert!(symbolic.block_count() > 10);
+        // 140 injections in a shuffled order: three 64-lane words, so
+        // panels of most widths straddle a word boundary.
+        let vars: Vec<usize> = (0..140).map(|m| (m * 31 + 5) % n).collect();
+        for width in [1, 3, 16, 50, 64, 65, 139, 140, 200] {
+            let schedule = symbolic.driving_point_schedule(&vars, width);
+            let panels = vars.len().div_ceil(width);
+            assert_eq!(schedule.step_ptr.len(), panels + 1);
+            for panel in 0..panels {
+                let lanes = panel * width..((panel + 1) * width).min(vars.len());
+                let expected = reference_panel_steps(
+                    &symbolic.pattern,
+                    &schedule.seed_rows[lanes.clone()],
+                    &schedule.out_rows[lanes],
+                );
+                assert_eq!(
+                    &schedule.steps[schedule.step_ptr[panel]..schedule.step_ptr[panel + 1]],
+                    &expected[..],
+                    "width {width}, panel {panel}"
+                );
+            }
+            if width == 16 {
+                assert!(
+                    schedule.steps.len() < panels * 2 * n,
+                    "a block cascade must prune some substitution steps"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn driving_point_solve_checks_lengths_and_pattern() {
+        let a = cascade(1.0);
+        let (mut lu, symbolic) = SparseLu::factor_with_symbolic_btf(&a).unwrap();
+        let schedule = symbolic.driving_point_schedule(&[0, 2, 4], 2);
+        assert_eq!(schedule.vars(), &[0, 2, 4]);
+        assert_eq!(schedule.panel_width(), 2);
+        let mut z = vec![0.0; 3];
+        let mut work = vec![0.0; 5 * 2];
+        assert!(matches!(
+            lu.solve_driving_points_into(&schedule, &mut z[..2], &mut work),
+            Err(SolveError::RhsLength {
+                expected: 3,
+                got: 2
+            })
+        ));
+        assert!(matches!(
+            lu.solve_driving_points_into(&schedule, &mut z, &mut work[..5]),
+            Err(SolveError::RhsLength {
+                expected: 10,
+                got: 5
+            })
+        ));
+        lu.solve_driving_points_into(&schedule, &mut z, &mut work)
+            .unwrap();
+        // A refactorization that degrades falls back to a fresh pivot
+        // order: the schedule no longer applies; a healthy one restores it.
+        let mut ws = LuWorkspace::new();
+        let mut degraded = a.clone();
+        degraded.zero_values();
+        for (r, c, v) in a.iter() {
+            let slot = degraded.find_slot(r, c).unwrap();
+            degraded.values_mut()[slot] = if r == c && r == 0 { 1.0e-30 } else { v };
+        }
+        lu.refactor_into(&symbolic, &degraded, &mut ws).unwrap();
+        assert!(!lu.refactored());
+        assert!(!schedule.applies_to(&lu));
+        lu.refactor_into(&symbolic, &a, &mut ws).unwrap();
+        assert!(schedule.applies_to(&lu));
+    }
+
+    #[test]
+    fn structurally_zero_driving_point_keeps_the_full_solves_signed_zero() {
+        // A = [[0, −1], [1, −3]]: (A⁻¹)₁₁ is structurally zero, and the full
+        // solve computes it as +0 / (−1) = −0. The read-out step is kept
+        // although nothing reaches it, so the pruned answer is −0 as well.
+        let a = csr_from_dense(&[&[0.0, -1.0], &[1.0, -3.0]]);
+        let (lu, symbolic) = SparseLu::factor_with_symbolic(&a).unwrap();
+        let mut full = vec![0.0, 1.0];
+        lu.solve_into(&mut full, &mut [0.0; 2]).unwrap();
+        assert_eq!(full[1].to_bits(), (-0.0f64).to_bits());
+        for width in [1, 2, 3] {
+            let schedule = symbolic.driving_point_schedule(&[0, 1], width);
+            let mut z = vec![1.0; 2];
+            let mut work = vec![0.0; 2 * width];
+            lu.solve_driving_points_into(&schedule, &mut z, &mut work)
+                .unwrap();
+            assert_eq!(z[1].to_bits(), full[1].to_bits(), "width {width}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different factorization pattern")]
+    fn driving_point_solve_panics_on_a_foreign_pattern() {
+        let a = cascade(1.0);
+        let (_, symbolic) = SparseLu::factor_with_symbolic_btf(&a).unwrap();
+        let schedule = symbolic.driving_point_schedule(&[0, 1], 2);
+        let other = SparseLu::factor_btf(&a).unwrap();
+        let mut z = vec![0.0; 2];
+        let mut work = vec![0.0; 10];
+        let _ = other.solve_driving_points_into(&schedule, &mut z, &mut work);
     }
 
     #[test]

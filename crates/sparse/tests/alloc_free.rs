@@ -1,6 +1,7 @@
 //! Counting-allocator proof that the refactor/solve hot path — the inner
 //! loop of the all-nodes stability scan (one `refactor_into` per frequency,
-//! one `solve_into` per node) — performs **zero heap allocations** once the
+//! then one `solve_into` per node, blocked panels, or the pruned
+//! driving-point panels) — performs **zero heap allocations** once the
 //! buffers are warm.
 //!
 //! A wrapper around the system allocator counts every `alloc`/`realloc`
@@ -178,6 +179,34 @@ fn refactor_and_solve_hot_loop_is_allocation_free() {
         0,
         "the blocked panel loop (refactor_into + solve_block_into) must not \
          allocate, saw {} allocations",
+        after - before
+    );
+
+    // The pruned driving-point panels the all-nodes scan runs by default:
+    // the schedule is built once per scan (outside the loop, like the
+    // panel scratch), then every "frequency" is one refactor plus
+    // `solve_driving_points_into` over all nodes — again including the
+    // final short panel — with no allocation at all.
+    let schedule = symbolic.driving_point_schedule(&nodes, panel_k);
+    let mut z = vec![0.0f64; n];
+    let mut driving_work = vec![0.0f64; n * panel_k];
+    let before = allocation_count();
+    for m in &matrices {
+        worker_lu
+            .refactor_into(&symbolic, m, &mut worker_ws)
+            .expect("refactor");
+        assert!(worker_lu.refactored(), "pruned loop must not fall back");
+        worker_lu
+            .solve_driving_points_into(&schedule, &mut z, &mut driving_work)
+            .expect("pruned solve");
+        assert!(z.iter().all(|v| v.is_finite()));
+    }
+    let after = allocation_count();
+    assert_eq!(
+        after - before,
+        0,
+        "the pruned driving-point loop (refactor_into + \
+         solve_driving_points_into) must not allocate, saw {} allocations",
         after - before
     );
 

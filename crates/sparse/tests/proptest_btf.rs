@@ -1,7 +1,7 @@
 //! Property-based tests for the block-triangular (BTF) factorization path
 //! and the blocked multi-RHS solve.
 //!
-//! Three invariant families:
+//! Four invariant families:
 //!
 //! 1. **The BTF partition is a genuine block upper-triangular permutation**:
 //!    row/column permutations are bijections, the block pointer is a
@@ -16,10 +16,16 @@
 //!    for column, to independent [`SparseLu::solve_into`] calls at every
 //!    panel width — the determinism contract the all-nodes scan's batching
 //!    relies on.
+//! 4. **Pruned driving-point panels are the same numbers**:
+//!    [`SparseLu::solve_driving_points_into`] over a
+//!    [`SymbolicLu::driving_point_schedule`] must return, for every
+//!    injection, the *bitwise* same entry as a full [`SparseLu::solve_into`]
+//!    of the unit vector — for any injection subset and panel width, real
+//!    and complex.
 
 use loopscope_math::dense::{CMatrix, DMatrix};
 use loopscope_math::Complex64;
-use loopscope_sparse::{btf, CsrMatrix, LuWorkspace, SparseLu, TripletMatrix};
+use loopscope_sparse::{btf, CsrMatrix, LuWorkspace, Scalar, SparseLu, SymbolicLu, TripletMatrix};
 use proptest::prelude::*;
 
 /// Specification of one random cascade: per-block sizes (clamped to 1..=4)
@@ -101,6 +107,59 @@ fn gcd(a: usize, b: usize) -> usize {
     } else {
         gcd(b, a % b)
     }
+}
+
+/// The complex version of a real matrix: off-diagonal entries gain a
+/// proportional imaginary part and the diagonal a constant one, keeping
+/// the pattern (and the BTF partition) unchanged.
+fn complexify(a: &CsrMatrix<f64>) -> CsrMatrix<Complex64> {
+    let n = a.rows();
+    let mut t = TripletMatrix::<Complex64>::new(n, n);
+    for (r, c, v) in a.iter() {
+        let im = if r == c { 0.5 } else { 0.1 * v };
+        t.push(r, c, Complex64::new(v, im));
+    }
+    t.to_csr()
+}
+
+/// Checks every pruned driving-point response of `lu` over `vars` at
+/// `width` against the matching entry of an independent full solve, bit
+/// for bit (`bits` maps a value to its IEEE bit patterns), and that the
+/// work panel comes back all zeros. Runs the scan twice over the same work
+/// panel, as a sweep reuses it at every frequency.
+fn check_driving_points<T: Scalar>(
+    lu: &SparseLu<T>,
+    symbolic: &SymbolicLu,
+    vars: &[usize],
+    width: usize,
+    bits: impl Fn(T) -> (u64, u64),
+) -> Result<(), String> {
+    let n = lu.dim();
+    let schedule = symbolic.driving_point_schedule(vars, width);
+    prop_assert!(schedule.applies_to(lu));
+    let mut work = vec![T::ZERO; n * width];
+    let mut z = vec![T::ZERO; vars.len()];
+    for _ in 0..2 {
+        lu.solve_driving_points_into(&schedule, &mut z, &mut work)
+            .expect("pruned solve");
+        prop_assert!(work.iter().all(|v| v.is_zero()), "work panel left dirty");
+        for (&var, &zv) in vars.iter().zip(&z) {
+            let mut x = vec![T::ZERO; n];
+            x[var] = T::ONE;
+            let mut scratch = vec![T::ZERO; n];
+            lu.solve_into(&mut x, &mut scratch).expect("full solve");
+            prop_assert_eq!(
+                bits(zv),
+                bits(x[var]),
+                "width {}, unknown {}: pruned {:?} vs full {:?}",
+                width,
+                var,
+                zv,
+                x[var]
+            );
+        }
+    }
+    Ok(())
 }
 
 fn dense_reference(a: &CsrMatrix<f64>, b: &[f64]) -> Vec<f64> {
@@ -336,5 +395,91 @@ proptest! {
                     "panel width {}, column {}: {} vs {}", k, j, a, b);
             }
         }
+    }
+
+    /// The pruned driving-point scan returns exactly the entries a full
+    /// solve of each unit injection does — random (scrambled) cascades,
+    /// BTF and single-block, real and complex, random injection subsets in
+    /// random order, and every panel width from 1 to `n + 1`.
+    #[test]
+    fn pruned_driving_points_are_bitwise_identical_to_full_solves(
+        spec in (
+            prop::collection::vec(1usize..5, 1..5),
+            prop::collection::vec((0usize..8, 0usize..8, -3.0f64..3.0), 0..24),
+            prop::collection::vec((0usize..8, 0usize..8, -3.0f64..3.0), 0..12),
+        ),
+        picks in prop::collection::vec((0usize..2, 0usize..1000), 16),
+        width_sel in 0usize..1000,
+        scramble_sel in 0usize..2,
+        use_btf_sel in 0usize..2,
+    ) {
+        let a = build_cascade(&spec, 1.0, scramble_sel == 1);
+        let n = a.rows();
+        // A random subset of the unknowns, in a random order.
+        let mut keyed: Vec<(usize, usize)> = (0..n)
+            .filter(|&v| picks[v].0 == 1)
+            .map(|v| (picks[v].1, v))
+            .collect();
+        keyed.sort_unstable();
+        let vars: Vec<usize> = keyed.into_iter().map(|(_, v)| v).collect();
+        let width = 1 + width_sel % (n + 1);
+        let (lu, symbolic) = if use_btf_sel == 1 {
+            SparseLu::factor_with_symbolic_btf(&a).expect("must factor")
+        } else {
+            SparseLu::factor_with_symbolic(&a).expect("must factor")
+        };
+        check_driving_points(&lu, &symbolic, &vars, width, |v: f64| (v.to_bits(), 0))?;
+        let ac = complexify(&a);
+        let (lu, symbolic) = if use_btf_sel == 1 {
+            SparseLu::factor_with_symbolic_btf(&ac).expect("must factor")
+        } else {
+            SparseLu::factor_with_symbolic(&ac).expect("must factor")
+        };
+        check_driving_points(&lu, &symbolic, &vars, width, |v: Complex64| {
+            (v.re.to_bits(), v.im.to_bits())
+        })?;
+    }
+}
+
+/// A pinned case for the cross-block read-out: a scrambled three-block
+/// cascade in which some injection's pivot row (where its unit entry
+/// enters the forward substitution) and its read-out column (where its
+/// response leaves the back substitution) lie in different BTF blocks.
+#[test]
+fn pruned_driving_points_cover_cross_block_read_outs() {
+    let spec: CascadeSpec = (
+        vec![3, 2, 4],
+        vec![(0, 1, 1.5), (1, 2, -0.7), (2, 0, 0.9), (1, 0, 0.4)],
+        vec![(0, 0, 1.1), (1, 1, -2.0), (2, 1, 0.6), (3, 0, 1.3)],
+    );
+    let a = build_cascade(&spec, 1.0, true);
+    let n = a.rows();
+    let (lu, symbolic) = SparseLu::factor_with_symbolic_btf(&a).expect("must factor");
+    let bp = symbolic.block_boundaries();
+    assert!(bp.len() > 2, "the cascade must split into several blocks");
+    let block_of = |step: usize| bp.windows(2).position(|w| w[0] <= step && step < w[1]);
+    let row_step = |var: usize| symbolic.pivot_order().iter().position(|&r| r == var);
+    let col_step = |var: usize| symbolic.column_order().iter().position(|&c| c == var);
+    let crossing: Vec<usize> = (0..n)
+        .filter(|&v| block_of(row_step(v).unwrap()) != block_of(col_step(v).unwrap()))
+        .collect();
+    assert!(
+        !crossing.is_empty(),
+        "the scramble must put some pivot row and read-out column in different blocks"
+    );
+    let all: Vec<usize> = (0..n).collect();
+    for width in 1..=n + 1 {
+        for vars in [&crossing[..], &all[..]] {
+            check_driving_points(&lu, &symbolic, vars, width, |v: f64| (v.to_bits(), 0))
+                .expect("bitwise equal");
+        }
+    }
+    let ac = complexify(&a);
+    let (lu, symbolic) = SparseLu::factor_with_symbolic_btf(&ac).expect("must factor");
+    for width in 1..=n + 1 {
+        check_driving_points(&lu, &symbolic, &crossing, width, |v: Complex64| {
+            (v.re.to_bits(), v.im.to_bits())
+        })
+        .expect("bitwise equal");
     }
 }

@@ -14,12 +14,21 @@
 //!   the complex-pole signature the stability plot extracts.
 //!
 //! For the all-nodes mode the factorization of `Y(jω)` is reused for every
-//! injection node at a given frequency — and the injections themselves are
-//! batched into panels of K right-hand sides solved in one blocked L/U
-//! traversal each ([`loopscope_sparse::SparseLu::solve_block_into`];
-//! `LOOPSCOPE_PANEL` knob, bitwise identical at any width) — which is what
-//! makes whole-circuit stability scans cheap compared to running one full
-//! simulation per node.
+//! injection node at a given frequency, and the injections themselves are
+//! batched into panels of K unit right-hand sides (`LOOPSCOPE_PANEL` knob).
+//! Each injection only needs one entry of its solution — `Z_nn`, a diagonal
+//! entry of `Y⁻¹` — so each panel runs only the substitution rows those
+//! entries depend on: a [`loopscope_sparse::DrivingPointSchedule`], built
+//! once per scan from the frequency-independent pattern, drives
+//! [`loopscope_sparse::SparseLu::solve_driving_points_into`]. A point whose
+//! pivot degraded (fresh pivot order) or whose assembly went off pattern
+//! solves each injection in full on its own instead, like the per-RHS
+//! path. Every `Z_nn` is bitwise identical to a full per-node solve at
+//! any width. That is what makes whole-circuit stability scans cheap
+//! compared to running one full simulation per node. The direct all-nodes
+//! path runs no per-column residual check, as before: unlike the classical
+//! sweep and the single-node probe it does not go through the verified
+//! retry ladder.
 //!
 //! Across frequency points the heavy lifting is shared through a
 //! [`SweepPlan`]: the sparsity pattern,
@@ -665,15 +674,27 @@ impl<'c> AcAnalysis<'c> {
     /// Driving-point responses for **every** non-ground node: the workhorse of
     /// the tool's "All Nodes" mode. At each frequency the admittance matrix is
     /// factored once and re-used for all injection nodes, the per-node unit
-    /// injections are batched into **panels of K right-hand sides** solved in
-    /// one L/U traversal each (K from [`par::configured_panel_width`], knob
-    /// `LOOPSCOPE_PANEL`, default [`par::DEFAULT_PANEL_WIDTH`];
-    /// `LOOPSCOPE_PANEL=1` forces the per-RHS path), and frequencies are
-    /// chunked across worker threads — the machine-saturating scan the
-    /// plan/context split exists for. Results are assembled in frequency
+    /// injections are batched into **panels of K right-hand sides** (K from
+    /// [`par::configured_panel_width`], knob `LOOPSCOPE_PANEL`, default
+    /// [`par::DEFAULT_PANEL_WIDTH`]), and frequencies are chunked across
+    /// worker threads — the machine-saturating scan the plan/context split
+    /// exists for.
+    ///
+    /// Each panel solves only the substitution rows its wanted entries
+    /// `Z_nn` depend on: the [`DrivingPointSchedule`] is built once,
+    /// serially, from the plan's symbolic analysis before the workers start
+    /// and shared by all of them read-only
+    /// ([`SolveContext::solve_driving_points`]). A point that went off
+    /// pattern or fell back to a fresh pivot order takes the full blocked
+    /// panels instead. `LOOPSCOPE_PANEL=1` forces the unpruned per-RHS
+    /// reference path (one full solve per node), and the iterative backend
+    /// runs one GMRES solve per node. Results are assembled in frequency
     /// order and are bitwise identical at any worker count **and any panel
-    /// width**: the blocked solve's per-column arithmetic is identical to an
-    /// independent solve per node.
+    /// width**: every scheduled row runs the same arithmetic as an
+    /// independent full solve per node, and a skipped row cannot change a
+    /// wanted entry. The direct path does no per-column residual check.
+    ///
+    /// [`DrivingPointSchedule`]: loopscope_sparse::DrivingPointSchedule
     ///
     /// Returns one vector per signal node, in [`Circuit::signal_nodes`] order.
     ///
@@ -696,19 +717,24 @@ impl<'c> AcAnalysis<'c> {
             .map(|&n| self.layout.node_var(n).expect("signal node"))
             .collect();
         let panel_width = par::configured_panel_width().min(vars.len().max(1));
-        // One row of node responses per frequency. The worker owns a panel
-        // buffer of `panel_width` injection columns next to its context's
-        // pre-sized blocked-solve scratch, so the whole inner loop — fill,
-        // blocked solve, gather — performs zero heap allocations.
+        // Which substitution rows each panel needs depends only on the
+        // pattern: built once, serially, and shared read-only by every
+        // worker. Neither the per-RHS reference path (`LOOPSCOPE_PANEL=1`)
+        // nor the iterative backend uses it.
+        let schedule = (panel_width > 1 && !plan.backend().is_iterative())
+            .then(|| plan.symbolic().driving_point_schedule(&vars, panel_width));
+        // One row of node responses per frequency. The worker's context is
+        // minted with pre-sized panel scratch, and the per-RHS paths own an
+        // injection vector, so the solves perform zero heap allocations.
         let (rows, workers) = par::sweep_chunks(
             freqs,
             || {
                 (
                     plan.context_with_panel(panel_width),
-                    vec![Complex64::ZERO; dim * panel_width],
+                    vec![Complex64::ZERO; dim],
                 )
             },
-            |(ctx, panel): &mut (SolveContext<'_, Complex64>, Vec<Complex64>),
+            |(ctx, x): &mut (SolveContext<'_, Complex64>, Vec<Complex64>),
              idx,
              &f|
              -> Result<Vec<Complex64>, SpiceError> {
@@ -733,7 +759,6 @@ impl<'c> AcAnalysis<'c> {
                     // solve per injection, in fixed node order — trivially
                     // identical at any `LOOPSCOPE_PANEL` width.
                     for &var in &vars {
-                        let x = &mut panel[..dim];
                         x.fill(Complex64::ZERO);
                         x[var] = Complex64::ONE;
                         ctx.solve_backend_in_place(x)?;
@@ -743,29 +768,23 @@ impl<'c> AcAnalysis<'c> {
                 }
                 ctx.factor()
                     .map_err(|e| SpiceError::from_solve(e, &self.layout))?;
-                if panel_width == 1 {
-                    // Per-RHS reference path (`LOOPSCOPE_PANEL=1`): one
-                    // solve per node, the pre-batching inner loop.
-                    for &var in &vars {
-                        let x = &mut panel[..dim];
-                        x.fill(Complex64::ZERO);
-                        x[var] = Complex64::ONE;
-                        ctx.solve_in_place(x)
+                match &schedule {
+                    // Pruned panels; a point that fell back to a fresh
+                    // pivot order takes per-RHS solves inside the context.
+                    Some(schedule) => {
+                        row.resize(vars.len(), Complex64::ZERO);
+                        ctx.solve_driving_points(schedule, &mut row)
                             .map_err(|e| SpiceError::from_solve(e, &self.layout))?;
-                        row.push(x[var]);
                     }
-                } else {
-                    for chunk in vars.chunks(panel_width) {
-                        let cols = chunk.len();
-                        let active = &mut panel[..dim * cols];
-                        active.fill(Complex64::ZERO);
-                        for (j, &var) in chunk.iter().enumerate() {
-                            active[j * dim + var] = Complex64::ONE;
-                        }
-                        ctx.solve_panel_in_place(active, cols)
-                            .map_err(|e| SpiceError::from_solve(e, &self.layout))?;
-                        for (j, &var) in chunk.iter().enumerate() {
-                            row.push(active[j * dim + var]);
+                    // Per-RHS reference path (`LOOPSCOPE_PANEL=1`): one
+                    // full solve per node, the pre-batching inner loop.
+                    None => {
+                        for &var in &vars {
+                            x.fill(Complex64::ZERO);
+                            x[var] = Complex64::ONE;
+                            ctx.solve_in_place(x)
+                                .map_err(|e| SpiceError::from_solve(e, &self.layout))?;
+                            row.push(x[var]);
                         }
                     }
                 }

@@ -55,8 +55,8 @@ use crate::solver::{
     PRECOND_REFRESH_INTERVAL,
 };
 use loopscope_sparse::{
-    gmres_solve_into, CsrMatrix, GmresWorkspace, LuWorkspace, RefineWorkspace, Scalar, SolveError,
-    SolveQuality, SolverBackend, SparseLu, SymbolicLu,
+    gmres_solve_into, CsrMatrix, DrivingPointSchedule, GmresWorkspace, LuWorkspace,
+    RefineWorkspace, Scalar, SolveError, SolveQuality, SolverBackend, SparseLu, SymbolicLu,
 };
 use std::sync::Arc;
 
@@ -1030,7 +1030,7 @@ impl<T: Scalar> SweepPlan<T> {
             lu: SparseLu::from_symbolic(&self.symbolic),
             workspace: LuWorkspace::for_dim(n),
             solve_work: vec![T::ZERO; n],
-            panel_work: Vec::new(),
+            driving_work: Vec::new(),
             refine_ws: RefineWorkspace::for_dim(n),
             rhs_backup: Vec::with_capacity(n),
             off_pattern: None,
@@ -1044,14 +1044,14 @@ impl<T: Scalar> SweepPlan<T> {
     }
 
     /// Like [`context`](SweepPlan::context), additionally pre-sizing the
-    /// blocked-solve scratch for panels of up to `panel_width` right-hand
-    /// sides, so even the first
-    /// [`solve_panel_in_place`](SolveContext::solve_panel_in_place) call
+    /// driving-point panel scratch for panels of up to `panel_width`
+    /// injections, so even the first
+    /// [`solve_driving_points`](SolveContext::solve_driving_points) call
     /// over the context performs no heap allocation. This is what the
     /// all-nodes scan's frequency workers use.
     pub fn context_with_panel(&self, panel_width: usize) -> SolveContext<'_, T> {
         let mut ctx = self.context();
-        ctx.panel_work = vec![T::ZERO; self.dim() * panel_width];
+        ctx.driving_work = vec![T::ZERO; self.dim() * panel_width];
         ctx
     }
 }
@@ -1062,8 +1062,12 @@ impl<T: Scalar> SweepPlan<T> {
 /// Minted by [`SweepPlan::context`]; drive each point through
 /// [`assemble`](SolveContext::assemble) → [`factor`](SolveContext::factor) →
 /// [`solve_in_place`](SolveContext::solve_in_place) (one factor, many
-/// right-hand sides — the all-nodes scan), or the
-/// [`solve`](SolveContext::solve) convenience wrapper.
+/// right-hand sides), or the [`solve`](SolveContext::solve) convenience
+/// wrapper. The all-nodes scan replaces the last step with
+/// [`solve_driving_points`](SolveContext::solve_driving_points): pruned
+/// panels over a [`DrivingPointSchedule`] shared by all workers, with a
+/// per-point fallback to per-RHS solves when the point's factorization no
+/// longer shares the plan's pattern.
 ///
 /// Unlike [`CachedMna`], a context never adopts a new pattern or pivot
 /// order mid-sweep: every point refactors against the plan's fixed
@@ -1084,10 +1088,11 @@ pub struct SolveContext<'p, T: Scalar> {
     lu: SparseLu<T>,
     workspace: LuWorkspace<T>,
     solve_work: Vec<T>,
-    /// Scratch of the blocked multi-RHS solve path
-    /// ([`solve_panel_in_place`](SolveContext::solve_panel_in_place)); grown
-    /// on demand, pre-sized by [`SweepPlan::context_with_panel`].
-    panel_work: Vec<T>,
+    /// The pruned driving-point work panel — all zeros between calls, as
+    /// [`SparseLu::solve_driving_points_into`] requires — whose first
+    /// column doubles as the unit-vector scratch of the per-RHS fallback.
+    /// Grown on demand, pre-sized by [`SweepPlan::context_with_panel`].
+    driving_work: Vec<T>,
     /// Scratch of the residual-verified solve path, pre-sized at mint time.
     refine_ws: RefineWorkspace<T>,
     /// Pristine copy of the right-hand side, so retry-ladder escalations can
@@ -1336,37 +1341,73 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
         self.lu.solve_into(rhs, &mut self.solve_work)
     }
 
-    /// Solves the factored system for `k` right-hand sides in one blocked
-    /// traversal (see
-    /// [`SparseLu::solve_block_into`]): `rhs` holds the `k` columns back to
-    /// back (column-major) on entry and the solutions on return. Per column
-    /// the result is **bitwise identical** to
-    /// [`solve_in_place`](SolveContext::solve_in_place) on that column, so
-    /// any batching of a scan's injections produces the same numbers.
+    /// Driving-point responses of the factored system: `out[m]` receives
+    /// entry `v` of `A⁻¹·e_v` for `v = schedule.vars()[m]`, one panel of
+    /// unit injections at a time.
     ///
-    /// Allocation-free once the context's panel scratch has reached `k`
-    /// columns — mint the context with [`SweepPlan::context_with_panel`] to
-    /// pre-size it.
+    /// When the point refactored against the plan's pattern — the hot path
+    /// — this runs the pruned
+    /// [`SparseLu::solve_driving_points_into`] over `schedule` (built once
+    /// per scan from [`SweepPlan::symbolic`]). A point that went off
+    /// pattern, or whose pivot degraded so `refactor_into` fell back to a
+    /// fresh pivot order, no longer shares the schedule's pattern; it solves
+    /// each unit vector in full instead, exactly as
+    /// [`solve_in_place`](SolveContext::solve_in_place) does. The pruned
+    /// path is **bitwise identical** to those per-RHS solves, so any panel
+    /// width produces the same numbers.
+    ///
+    /// Allocation-free once the context's panel scratch has reached
+    /// `schedule.panel_width()` — mint the context with
+    /// [`SweepPlan::context_with_panel`] to pre-size it.
     ///
     /// # Errors
     ///
-    /// Returns [`SolveError::RhsLength`] when `rhs.len()` is not `k` times
-    /// the system dimension.
+    /// Returns [`SolveError::RhsLength`] when `out.len()` differs from
+    /// `schedule.vars().len()`.
     ///
     /// # Panics
     ///
     /// Panics when no successful [`factor`](SolveContext::factor) call has
     /// run since the last assembly.
-    pub fn solve_panel_in_place(&mut self, rhs: &mut [T], k: usize) -> Result<(), SolveError> {
+    pub fn solve_driving_points(
+        &mut self,
+        schedule: &DrivingPointSchedule,
+        out: &mut [T],
+    ) -> Result<(), SolveError> {
         assert!(
             self.factored,
             "SolveContext::factor must succeed before solving"
         );
-        if self.panel_work.len() < rhs.len() {
-            self.panel_work.resize(rhs.len(), T::ZERO);
+        let n = self.plan.dim();
+        let width = schedule.panel_width();
+        if self.driving_work.len() < n * width {
+            self.driving_work.resize(n * width, T::ZERO);
         }
-        self.lu
-            .solve_block_into(rhs, k, &mut self.panel_work[..rhs.len()])
+        if schedule.applies_to(&self.lu) {
+            return self.lu.solve_driving_points_into(
+                schedule,
+                out,
+                &mut self.driving_work[..n * width],
+            );
+        }
+        if out.len() != schedule.vars().len() {
+            return Err(SolveError::RhsLength {
+                expected: schedule.vars().len(),
+                got: out.len(),
+            });
+        }
+        // Per-RHS solves of the unit vectors, the reference the pruned path
+        // is bitwise identical to.
+        let x = &mut self.driving_work[..n];
+        for (&var, z) in schedule.vars().iter().zip(out.iter_mut()) {
+            x[var] = T::ONE;
+            let result = self.lu.solve_into(x, &mut self.solve_work);
+            *z = x[var];
+            // Restore the all-zero invariant of the pruned path.
+            x.fill(T::ZERO);
+            result?;
+        }
+        Ok(())
     }
 
     /// Convenience wrapper: assemble, factor, and solve with the assembled

@@ -7,6 +7,11 @@
 //! environment: worker counts go through [`par::sweep_chunks_with`] and
 //! panel widths through [`SweepPlan::context_with_panel`], so the whole
 //! matrix of configurations runs race-free inside one test binary.
+//!
+//! The driving-point scan gets its own check: a degraded pivot at one
+//! point makes that point's factorization fall back to a fresh pivot
+//! order, which the pruned panel schedule no longer applies to; the point
+//! must take the per-RHS fallback and still match per-RHS solves bitwise.
 
 #![cfg(feature = "fault-inject")]
 
@@ -182,6 +187,115 @@ fn sweep_with_fault_iterative(
         stats.merge(&s.stats());
     }
     (rows, stats)
+}
+
+/// The all-nodes driving-point scan over the chain (every unknown injected
+/// and read back) with `workers` workers, a degraded pivot planted at
+/// `fault_point` (seeded by `seed + k`). `width: None` solves each
+/// injection on its own through [`SolveContext::solve_in_place`] — the
+/// reference; `Some(w)` runs [`SolveContext::solve_driving_points`] over a
+/// `w`-wide schedule built once from the plan. Returns the responses per
+/// point and the merged counters.
+///
+/// [`SolveContext::solve_in_place`]: loopscope_spice::assembly::SolveContext::solve_in_place
+/// [`SolveContext::solve_driving_points`]: loopscope_spice::assembly::SolveContext::solve_driving_points
+fn driving_point_sweep(
+    workers: usize,
+    width: Option<usize>,
+    fault_point: usize,
+    seed: u64,
+) -> (Vec<Vec<Complex64>>, SolveStats) {
+    let circuit = rc_chain(6);
+    let layout = MnaLayout::new(&circuit);
+    let freqs: Vec<f64> = (0..24)
+        .map(|k| 1.0e3 * 10f64.powf(k as f64 / 8.0))
+        .collect();
+    let seed_job = AcJob {
+        circuit: &circuit,
+        freq_hz: freqs[0],
+    };
+    let plan = SweepPlan::build(&layout, &seed_job).expect("plan");
+    let dim = plan.dim();
+    let vars: Vec<usize> = (0..dim).collect();
+    let schedule = width.map(|w| plan.symbolic().driving_point_schedule(&vars, w));
+    let (rows, states) = par::sweep_chunks_with(
+        workers,
+        &freqs,
+        || plan.context_with_panel(width.unwrap_or(1)),
+        |ctx, k, &freq| -> Result<Vec<Complex64>, SpiceError> {
+            let job = AcJob {
+                circuit: &circuit,
+                freq_hz: freq,
+            };
+            let _ = ctx.assemble(&job);
+            if k == fault_point {
+                FaultInjector::new(seed + k as u64)
+                    .inject(FaultKind::DegradedPivot, ctx.matrix_mut());
+            }
+            ctx.factor().map_err(SpiceError::Linear)?;
+            let mut row = vec![Complex64::ZERO; dim];
+            match &schedule {
+                Some(schedule) => ctx
+                    .solve_driving_points(schedule, &mut row)
+                    .map_err(SpiceError::Linear)?,
+                None => {
+                    let mut x = vec![Complex64::ZERO; dim];
+                    for (&var, z) in vars.iter().zip(row.iter_mut()) {
+                        x.fill(Complex64::ZERO);
+                        x[var] = Complex64::ONE;
+                        ctx.solve_in_place(&mut x).map_err(SpiceError::Linear)?;
+                        *z = x[var];
+                    }
+                }
+            }
+            Ok(row)
+        },
+    );
+    let mut stats = plan.stats();
+    for s in states {
+        stats.merge(&s.stats());
+    }
+    (
+        rows.expect("a degraded pivot is rescued by fresh pivoting"),
+        stats,
+    )
+}
+
+#[test]
+fn degraded_pivot_in_a_driving_point_scan_takes_the_per_rhs_fallback() {
+    // The injector scales a diagonal entry chosen by the seed; this seed
+    // hits one the plan's pivot order uses as a pivot, so the
+    // refactorization degrades (asserted below) instead of absorbing it.
+    const FAULT_POINT: usize = 11;
+    const SEED: u64 = 14;
+    let (reference, ref_stats) = driving_point_sweep(1, None, FAULT_POINT, SEED);
+    assert_eq!(
+        ref_stats.fresh_fallback, 1,
+        "the degraded pivot must force exactly one fresh factorization: {ref_stats:?}"
+    );
+    let (healthy, _) = driving_point_sweep(1, None, usize::MAX, SEED);
+    assert_ne!(
+        reference[FAULT_POINT], healthy[FAULT_POINT],
+        "the fault must change the faulted point's system"
+    );
+    for workers in [1, 3] {
+        for width in [1, 4, 16] {
+            let (run, stats) = driving_point_sweep(workers, Some(width), FAULT_POINT, SEED);
+            assert_eq!(
+                stats, ref_stats,
+                "counters diverged at workers={workers}, width={width}"
+            );
+            for (point, (ra, rb)) in reference.iter().zip(&run).enumerate() {
+                for (i, (x, y)) in ra.iter().zip(rb).enumerate() {
+                    assert!(
+                        x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                        "point {point} unknown {i} diverged at workers={workers}, \
+                         width={width}: {x:?} != {y:?}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Every (workers × panel) configuration must reproduce the reference run

@@ -5,8 +5,12 @@
 //! The scan's frequency points are chunked across worker threads (set
 //! `LOOPSCOPE_THREADS` to pin the count; the default uses every hardware
 //! core) and the per-node injections are batched into panels of
-//! `LOOPSCOPE_PANEL` right-hand sides per L/U traversal — the report is
-//! bitwise identical at any worker count and any panel width.
+//! `LOOPSCOPE_PANEL` unit injections. Each panel runs only the substitution
+//! rows its driving-point impedances depend on (a schedule built once per
+//! scan); a frequency whose pivot order had to be redone, and every
+//! frequency under `LOOPSCOPE_PANEL=1`, solves each injection in full. The
+//! report is bitwise identical at any worker count and any panel width.
+//! These direct solves carry no per-column residual check.
 //!
 //! Run with `cargo run --release --example all_nodes_report`.
 
