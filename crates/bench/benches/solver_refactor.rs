@@ -690,18 +690,17 @@ fn panel_scan_ns(
     })
 }
 
-/// Experiment S5 — explicit SIMD kernels: scalar-kernel vs SIMD-kernel
-/// refactor throughput and blocked panel-scan throughput over the same
-/// symbolic analysis (backends pinned per pattern via
-/// `SymbolicLu::with_kernel_backend`, so both run in one process). A
-/// bitwise cross-check of one panel solve guards the table: the backends
-/// must agree bit for bit before any timing is reported.
+/// Experiment S5 — the AVX2 panel kernels: scalar vs SIMD blocked
+/// panel-scan throughput over the same symbolic analysis (backends pinned
+/// per pattern via `SymbolicLu::with_kernel_backend`, so both run in one
+/// process). Panel solves are the only loops with an AVX2 form. A bitwise
+/// cross-check of one panel solve guards the table: the backends must
+/// agree bit for bit before any timing is reported.
 fn print_kernel_table(
     label: &str,
     matrices: &[CsrMatrix<Complex64>],
     reps: usize,
     records: &mut Vec<Record>,
-    require_refactor_speedup: bool,
 ) {
     let (_, symbolic) = SparseLu::factor_with_symbolic_btf(&matrices[0]).expect("factors");
     let sym_scalar = symbolic.with_kernel_backend(KernelBackend::Scalar);
@@ -742,29 +741,15 @@ fn print_kernel_table(
         }
     }
 
-    let scalar_refactor = refactor_ns(matrices, &sym_scalar, reps);
-    let simd_refactor = refactor_ns(matrices, &sym_simd, reps);
     let scan_reps = (reps / 8).max(2);
     let scalar_scan = panel_scan_ns(matrices, &sym_scalar, par::DEFAULT_PANEL_WIDTH, scan_reps);
     let simd_scan = panel_scan_ns(matrices, &sym_simd, par::DEFAULT_PANEL_WIDTH, scan_reps);
     println!(
-        "{label:<18} refactor scalar {:>9.2} µs   {simd_backend} {:>9.2} µs ({:>5.2}x)   \
-         panel scan scalar {:>9.2} µs   {simd_backend} {:>9.2} µs ({:>5.2}x)",
-        scalar_refactor / 1.0e3,
-        simd_refactor / 1.0e3,
-        scalar_refactor / simd_refactor,
+        "{label:<18} panel scan scalar {:>9.2} µs   {simd_backend} {:>9.2} µs ({:>5.2}x)",
         scalar_scan / 1.0e3,
         simd_scan / 1.0e3,
         scalar_scan / simd_scan,
     );
-    records.push(Record::new(
-        format!("{label}_refactor_scalar_kernel"),
-        scalar_refactor,
-    ));
-    records.push(Record::new(
-        format!("{label}_refactor_{simd_backend}_kernel"),
-        simd_refactor,
-    ));
     records.push(Record::new(
         format!("{label}_panel_scan_scalar_kernel"),
         scalar_scan,
@@ -774,17 +759,6 @@ fn print_kernel_table(
         simd_scan,
     ));
 
-    if require_refactor_speedup && simd_backend.is_simd() {
-        assert_timing(
-            simd_refactor * 1.2 <= scalar_refactor,
-            &format!(
-                "{label}: the SIMD refactor ({simd_refactor:.0} ns) must be ≥ 1.2x the \
-                 scalar-kernel refactor ({scalar_refactor:.0} ns) with AVX2 detected, \
-                 measured {:.2}x",
-                scalar_refactor / simd_refactor
-            ),
-        );
-    }
     if simd_backend.is_simd() {
         // The panel solve is the SIMD-shaped loop (k contiguous lanes per
         // factor entry): it must at minimum not regress.
@@ -1364,7 +1338,7 @@ fn bench(c: &mut Criterion) {
     print_blocked_scan(&mut records);
 
     println!(
-        "\n=== S5: explicit SIMD kernels — scalar vs {} (AVX2 {}) ===",
+        "\n=== S5: AVX2 panel kernels — scalar vs {} (AVX2 {}) ===",
         kernels::selected_backend(),
         if kernels::simd_available() {
             "detected"
@@ -1373,13 +1347,12 @@ fn bench(c: &mut Criterion) {
         }
     );
     let (ladder_c, _) = ladder_matrices(400);
-    print_kernel_table("rc_ladder_400", &ladder_c, iters(200), &mut records, true);
+    print_kernel_table("rc_ladder_400", &ladder_c, iters(200), &mut records);
     print_kernel_table(
         &format!("mesh_{mesh_p}x{mesh_p}"),
         &meshes,
         iters(40),
         &mut records,
-        false,
     );
 
     print_refinement_table(&mut records);

@@ -1,44 +1,47 @@
-//! Explicitly vectorized inner-loop primitives for the LU hot paths.
+//! Inner-loop primitives for the LU hot paths, with one explicitly
+//! vectorized family.
 //!
-//! Profiling the sweep workloads leaves three inner loops holding almost all
-//! of the numeric work once the symbolic machinery is amortized:
+//! Three loop families hold nearly all of the numeric work once the symbolic
+//! machinery is amortized. Each has a portable scalar reference in
+//! [`scalar`]:
 //!
-//! 1. the **scatter/gather axpy** of the numeric refactorization
-//!    (`work[cols[i]] -= mult · vals[i]` over a U row's fill pattern),
-//! 2. the **per-entry fold** of the single-RHS substitution sweeps
-//!    (`acc -= vals[i] · work[cols[i]]`, strictly in order), and
-//! 3. the **k-wide panel update** of the blocked multi-RHS solve
-//!    (`dst[j] -= v · src[j]` / `dst[j] = dst[j] / diag` over `k` contiguous
-//!    right-hand-side lanes), and
-//! 4. the **w-wide variant-lane update** of the batched many-variant
-//!    refactor/solve (`dst[w] -= a[w] · b[w]` / `dst[w] = dst[w] / den[w]`
-//!    over `w` contiguous variant lanes — unlike the panel forms, every
-//!    lane carries its *own* factor value, because each lane is an
-//!    independent matrix sharing only the fill pattern).
+//! 1. the **indexed** loops over one factor row's fill pattern — the
+//!    refactorization's scatter axpy (`work[cols[i]] -= mult · vals[i]`,
+//!    [`scalar::axpy_indexed`]) and the single-RHS substitution fold
+//!    (`acc -= vals[i] · work[cols[i]]` strictly in order,
+//!    [`scalar::fold_sub_indexed`]);
+//! 2. the **panel** loops of the blocked multi-RHS and pruned driving-point
+//!    solves (`dst[j] -= v · src[j]` / `dst[j] = dst[j] / diag` over `k`
+//!    contiguous right-hand-side lanes, [`scalar::panel_axpy`] /
+//!    [`scalar::panel_div`]);
+//! 3. the **lane** loops of the batched many-variant refactor/solve
+//!    (`dst[w] -= a[w] · b[w]` / `dst[w] = dst[w] / den[w]` over `w`
+//!    contiguous variant lanes, [`scalar::lane_mul_sub`] /
+//!    [`scalar::lane_div`]).
 //!
-//! This module implements each primitive twice — a portable scalar reference
-//! ([`scalar`]) and an AVX2 split-lane `(re, im)` form over
-//! `core::arch::x86_64` — and exposes safe per-type dispatchers
-//! ([`axpy_indexed_c64`], [`panel_axpy_f64`], …) that select between them
-//! with a [`KernelBackend`] value. The solver records the backend **once per
-//! symbolic analysis** (see [`selected_backend`] and
-//! [`crate::SymbolicLu::kernel_backend`]), so a whole sweep runs one
-//! consistent code path.
+//! Only the **panel** family also has an AVX2 split-lane `(re, im)` form
+//! over `core::arch::x86_64`, behind the safe per-type dispatchers
+//! [`panel_axpy_c64`], [`panel_div_c64`], [`panel_axpy_f64`] and
+//! [`panel_div_f64`]. It is the one family a benchmark workload pays for:
+//! the all-nodes scan of a 16×16 RC grid spends nearly all of its time in
+//! panel solves and ran ~1.3x slower with the panel loops scalar. The
+//! indexed and lane loops measured no difference between their AVX2 and
+//! scalar forms on any workload, so they run the scalar loops on every
+//! backend.
+//!
+//! The solver records the panel backend **once per symbolic analysis** (see
+//! [`selected_backend`] and [`crate::SymbolicLu::kernel_backend`]), so a
+//! whole sweep runs one consistent code path.
 //!
 //! # The bitwise contract
 //!
-//! Every vector implementation performs **the same IEEE-754 multiplies,
+//! The AVX2 panel kernels perform **the same IEEE-754 multiplies,
 //! additions, subtractions and divisions, in the same per-element order, as
-//! the scalar reference**: no FMA contraction, no reassociation across fill
-//! entries, no blocked accumulators. Lanes only ever span *independent*
-//! elements (distinct scatter targets, or distinct right-hand-side columns
-//! of a panel), and sequential dependences — the substitution fold's
-//! accumulator — stay sequential with only the independent products
-//! vectorized. Consequently the two backends produce bit-identical results
-//! on finite data, the property the `proptest_kernels` suite pins and the
-//! reason every pre-existing determinism test (refactor-vs-fresh,
-//! blocked-vs-single-RHS, `par_determinism`) holds with the SIMD path
-//! active.
+//! the scalar reference**: no FMA contraction, no reassociation. A lane is
+//! one right-hand-side column of the panel, so no lane ever combines values
+//! of another. Consequently the two backends produce bit-identical results
+//! on finite data, the property the `proptest_kernels` suite pins through
+//! full refactor + blocked and pruned driving-point solves.
 //!
 //! # Backend selection
 //!
@@ -54,8 +57,8 @@
 //! environment.
 //!
 //! This module is the only place in the crate allowed to use `unsafe`
-//! (`core::arch` intrinsics and the split-lane slice reinterpretation); the
-//! rest of the crate stays `deny(unsafe_code)`.
+//! (`core::arch` intrinsics over the panel slices); the rest of the crate
+//! stays `deny(unsafe_code)`.
 
 use crate::scalar::Scalar;
 use loopscope_math::Complex64;
@@ -68,8 +71,8 @@ use std::fmt;
 /// backend.
 pub const KERNEL_ENV: &str = "LOOPSCOPE_KERNEL";
 
-/// Which implementation of the vectorized inner-loop primitives a
-/// factorization runs.
+/// Which implementation of the panel primitives a factorization runs (the
+/// indexed and lane loops are scalar on every backend).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelBackend {
     /// The portable scalar reference path — always available, and the
@@ -139,11 +142,12 @@ pub fn selected_backend() -> KernelBackend {
     backend_for(std::env::var(KERNEL_ENV).ok().as_deref(), simd_available())
 }
 
-/// Portable scalar reference implementations of the kernel primitives.
+/// Portable scalar implementations of the kernel primitives.
 ///
-/// These loops **define** the arithmetic the SIMD backends must reproduce
-/// bit-for-bit; they are also the dispatch target for scalar types other
-/// than `f64`/[`Complex64`] and for hardware without AVX2.
+/// The indexed and lane loops are the only implementation the solver runs.
+/// The panel loops **define** the arithmetic the AVX2 panel kernels must
+/// reproduce bit-for-bit; they are also the dispatch target for scalar types
+/// other than `f64`/[`Complex64`] and for hardware without AVX2.
 pub mod scalar {
     use super::Scalar;
 
@@ -204,38 +208,21 @@ pub mod scalar {
     }
 }
 
-/// AVX2 split-lane implementations. Every function performs exactly the
-/// scalar reference arithmetic per element: products via `vmulpd`, the
-/// complex cross terms combined with `vaddsubpd` (never FMA), scattered
-/// elements addressed through bounds-checked references. Functions are
-/// `unsafe` with a single obligation — AVX2 must be available on the
-/// running CPU — which the dispatchers discharge by construction
-/// ([`KernelBackend::Avx2`] is only selected after runtime detection).
+/// AVX2 split-lane implementations of the panel primitives. Every function
+/// performs exactly the scalar reference arithmetic per element: products
+/// via `vmulpd`, the complex cross terms combined with `vaddsubpd` (never
+/// FMA). Functions are `unsafe` with a single obligation — AVX2 must be
+/// available on the running CPU — which the dispatchers discharge by
+/// construction ([`KernelBackend::Avx2`] is only selected after runtime
+/// detection, and the dispatchers re-check it).
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
     use core::arch::x86_64::{
-        __m128d, __m256d, _mm256_add_pd, _mm256_addsub_pd, _mm256_castpd256_pd128, _mm256_div_pd,
-        _mm256_extractf128_pd, _mm256_loadu_pd, _mm256_movedup_pd, _mm256_mul_pd,
-        _mm256_permute_pd, _mm256_set1_pd, _mm256_set_m128d, _mm256_storeu_pd, _mm256_sub_pd,
-        _mm256_xor_pd, _mm_loadu_pd, _mm_storeu_pd, _mm_sub_pd,
+        __m256d, _mm256_addsub_pd, _mm256_div_pd, _mm256_loadu_pd, _mm256_mul_pd,
+        _mm256_permute_pd, _mm256_set1_pd, _mm256_storeu_pd, _mm256_sub_pd, _mm256_xor_pd,
     };
     use loopscope_math::Complex64;
-
-    /// One 128-bit load of a single complex element through its
-    /// bounds-checked reference (`Complex64` is `repr(C)` `[re, im]`).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load_c64(z: &Complex64) -> __m128d {
-        _mm_loadu_pd((z as *const Complex64).cast::<f64>())
-    }
-
-    /// 128-bit store back into a single complex element.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn store_c64(z: &mut Complex64, v: __m128d) {
-        _mm_storeu_pd((z as *mut Complex64).cast::<f64>(), v)
-    }
 
     /// `mult * v` for two complex lanes at once, with exactly the scalar
     /// operation order: `re = m.re·v.re − m.im·v.im`,
@@ -246,77 +233,6 @@ mod avx2 {
         let t1 = _mm256_mul_pd(mre, v);
         let t2 = _mm256_mul_pd(mim, _mm256_permute_pd::<0b0101>(v));
         _mm256_addsub_pd(t1, t2)
-    }
-
-    /// See [`super::scalar::axpy_indexed`]; bit-identical on finite data.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_indexed_c64(
-        mult: Complex64,
-        vals: &[Complex64],
-        cols: &[usize],
-        work: &mut [Complex64],
-    ) {
-        let n = vals.len().min(cols.len());
-        let mre = _mm256_set1_pd(mult.re);
-        let mim = _mm256_set1_pd(mult.im);
-        let mut i = 0;
-        while i + 2 <= n {
-            // Two contiguous factor values, multiplied in one shot...
-            let v = _mm256_loadu_pd(vals[i..i + 2].as_ptr().cast::<f64>());
-            let prod = mul_broadcast_c64(mre, mim, v);
-            let lo = _mm256_castpd256_pd128(prod);
-            let hi = _mm256_extractf128_pd::<1>(prod);
-            // ...then scattered sequentially (a duplicated target sees the
-            // first store before the second load, exactly like the scalar
-            // loop).
-            let c0 = cols[i];
-            let c1 = cols[i + 1];
-            let w0 = load_c64(&work[c0]);
-            store_c64(&mut work[c0], _mm_sub_pd(w0, lo));
-            let w1 = load_c64(&work[c1]);
-            store_c64(&mut work[c1], _mm_sub_pd(w1, hi));
-            i += 2;
-        }
-        if i < n {
-            work[cols[i]] -= mult * vals[i];
-        }
-    }
-
-    /// See [`super::scalar::fold_sub_indexed`]: products are computed two
-    /// lanes at a time, the accumulator is updated strictly in order.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn fold_sub_indexed_c64(
-        mut acc: Complex64,
-        vals: &[Complex64],
-        cols: &[usize],
-        work: &[Complex64],
-    ) -> Complex64 {
-        let n = vals.len().min(cols.len());
-        let mut i = 0;
-        while i + 2 <= n {
-            let va = _mm256_loadu_pd(vals[i..i + 2].as_ptr().cast::<f64>());
-            let b0 = load_c64(&work[cols[i]]);
-            let b1 = load_c64(&work[cols[i + 1]]);
-            let vb = _mm256_set_m128d(b1, b0);
-            // Pairwise complex products a·b: re = a.re·b.re − a.im·b.im,
-            // im = a.re·b.im + a.im·b.re — multiplies then one vaddsubpd.
-            let t1 = _mm256_mul_pd(_mm256_movedup_pd(va), vb);
-            let t2 = _mm256_mul_pd(
-                _mm256_permute_pd::<0b1111>(va),
-                _mm256_permute_pd::<0b0101>(vb),
-            );
-            let prod = _mm256_addsub_pd(t1, t2);
-            let mut pair = [Complex64::ZERO; 2];
-            _mm256_storeu_pd(pair.as_mut_ptr().cast::<f64>(), prod);
-            // The accumulator chain stays sequential: no lane reassociation.
-            acc -= pair[0];
-            acc -= pair[1];
-            i += 2;
-        }
-        if i < n {
-            acc -= vals[i] * work[cols[i]];
-        }
-        acc
     }
 
     /// See [`super::scalar::panel_axpy`] — the fully contiguous case: two
@@ -370,133 +286,6 @@ mod avx2 {
         }
     }
 
-    /// See [`super::scalar::lane_mul_sub`]: two complex variant lanes per
-    /// vector op, each lane multiplying its own `a[w]·b[w]` pair with
-    /// exactly the scalar operation order (multiplies then one `vaddsubpd`,
-    /// then the subtract — never FMA).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn lane_mul_sub_c64(a: &[Complex64], b: &[Complex64], dst: &mut [Complex64]) {
-        let n = dst.len().min(a.len()).min(b.len());
-        let mut j = 0;
-        while j + 2 <= n {
-            let va = _mm256_loadu_pd(a[j..j + 2].as_ptr().cast::<f64>());
-            let vb = _mm256_loadu_pd(b[j..j + 2].as_ptr().cast::<f64>());
-            // Pairwise complex products a·b: re = a.re·b.re − a.im·b.im,
-            // im = a.re·b.im + a.im·b.re.
-            let t1 = _mm256_mul_pd(_mm256_movedup_pd(va), vb);
-            let t2 = _mm256_mul_pd(
-                _mm256_permute_pd::<0b1111>(va),
-                _mm256_permute_pd::<0b0101>(vb),
-            );
-            let prod = _mm256_addsub_pd(t1, t2);
-            let dp = dst[j..j + 2].as_mut_ptr().cast::<f64>();
-            let d = _mm256_loadu_pd(dp);
-            _mm256_storeu_pd(dp, _mm256_sub_pd(d, prod));
-            j += 2;
-        }
-        if j < n {
-            dst[j] -= a[j] * b[j];
-        }
-    }
-
-    /// See [`super::scalar::lane_div`]: each variant lane divides by its own
-    /// diagonal. The per-lane `|den|²` denominators are built with one
-    /// multiply and one in-register add in the scalar `re·re + im·im` order
-    /// (the same expression as `Complex64::norm_sqr`), the numerators with
-    /// multiplies and one sign-flipped `vaddsubpd` exactly like
-    /// [`panel_div_c64`], then one `vdivpd`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn lane_div_c64(den: &[Complex64], dst: &mut [Complex64]) {
-        let n = dst.len().min(den.len());
-        let sign = _mm256_set1_pd(-0.0);
-        let mut j = 0;
-        while j + 2 <= n {
-            let vd = _mm256_loadu_pd(den[j..j + 2].as_ptr().cast::<f64>());
-            // [re², im²] per lane, then each half-lane summed with its
-            // swapped neighbor: both slots hold re² + im² (IEEE addition is
-            // commutative bitwise, so slot order does not matter).
-            let sq = _mm256_mul_pd(vd, vd);
-            let dsum = _mm256_add_pd(sq, _mm256_permute_pd::<0b0101>(sq));
-            let dp = dst[j..j + 2].as_mut_ptr().cast::<f64>();
-            let a = _mm256_loadu_pd(dp);
-            // num = [a.re·d.re + a.im·d.im, a.im·d.re − a.re·d.im]: addsub
-            // with the second operand negated turns its even-lane subtract
-            // into the required add and vice versa.
-            let t1 = _mm256_mul_pd(a, _mm256_movedup_pd(vd));
-            let t2 = _mm256_mul_pd(
-                _mm256_permute_pd::<0b0101>(a),
-                _mm256_permute_pd::<0b1111>(vd),
-            );
-            let num = _mm256_addsub_pd(t1, _mm256_xor_pd(t2, sign));
-            _mm256_storeu_pd(dp, _mm256_div_pd(num, dsum));
-            j += 2;
-        }
-        if j < n {
-            dst[j] /= den[j];
-        }
-    }
-
-    /// Real-lane form of [`axpy_indexed_c64`]: four products per vector op,
-    /// scattered sequentially.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_indexed_f64(
-        mult: f64,
-        vals: &[f64],
-        cols: &[usize],
-        work: &mut [f64],
-    ) {
-        let n = vals.len().min(cols.len());
-        let m = _mm256_set1_pd(mult);
-        let mut i = 0;
-        while i + 4 <= n {
-            let prod = _mm256_mul_pd(m, _mm256_loadu_pd(vals[i..].as_ptr()));
-            let mut p = [0.0f64; 4];
-            _mm256_storeu_pd(p.as_mut_ptr(), prod);
-            for (k, &pk) in p.iter().enumerate() {
-                work[cols[i + k]] -= pk;
-            }
-            i += 4;
-        }
-        while i < n {
-            work[cols[i]] -= mult * vals[i];
-            i += 1;
-        }
-    }
-
-    /// Real-lane form of [`fold_sub_indexed_c64`].
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn fold_sub_indexed_f64(
-        mut acc: f64,
-        vals: &[f64],
-        cols: &[usize],
-        work: &[f64],
-    ) -> f64 {
-        let n = vals.len().min(cols.len());
-        let mut i = 0;
-        while i + 4 <= n {
-            let mut b = [0.0f64; 4];
-            for (k, bk) in b.iter_mut().enumerate() {
-                *bk = work[cols[i + k]];
-            }
-            let prod = _mm256_mul_pd(
-                _mm256_loadu_pd(vals[i..].as_ptr()),
-                _mm256_loadu_pd(b.as_ptr()),
-            );
-            let mut p = [0.0f64; 4];
-            _mm256_storeu_pd(p.as_mut_ptr(), prod);
-            // Sequential accumulation, same order as the scalar loop.
-            for &pk in &p {
-                acc -= pk;
-            }
-            i += 4;
-        }
-        while i < n {
-            acc -= vals[i] * work[cols[i]];
-            i += 1;
-        }
-        acc
-    }
-
     /// Real-lane form of [`panel_axpy_c64`]: four lanes per vector op.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn panel_axpy_f64(v: f64, src: &[f64], dst: &mut [f64]) {
@@ -531,285 +320,57 @@ mod avx2 {
             j += 1;
         }
     }
-
-    /// Real-lane form of [`lane_mul_sub_c64`]: four variant lanes per op.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn lane_mul_sub_f64(a: &[f64], b: &[f64], dst: &mut [f64]) {
-        let n = dst.len().min(a.len()).min(b.len());
-        let mut j = 0;
-        while j + 4 <= n {
-            let prod = _mm256_mul_pd(
-                _mm256_loadu_pd(a[j..].as_ptr()),
-                _mm256_loadu_pd(b[j..].as_ptr()),
-            );
-            let dp = dst[j..].as_mut_ptr();
-            _mm256_storeu_pd(dp, _mm256_sub_pd(_mm256_loadu_pd(dp), prod));
-            j += 4;
-        }
-        while j < n {
-            dst[j] -= a[j] * b[j];
-            j += 1;
-        }
-    }
-
-    /// Real-lane form of [`lane_div_c64`]: one `vdivpd` per four lanes.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn lane_div_f64(den: &[f64], dst: &mut [f64]) {
-        let n = dst.len().min(den.len());
-        let mut j = 0;
-        while j + 4 <= n {
-            let dp = dst[j..].as_mut_ptr();
-            _mm256_storeu_pd(
-                dp,
-                _mm256_div_pd(_mm256_loadu_pd(dp), _mm256_loadu_pd(den[j..].as_ptr())),
-            );
-            j += 4;
-        }
-        while j < n {
-            dst[j] /= den[j];
-            j += 1;
-        }
-    }
 }
 
-/// Expands to one safe per-type dispatcher per primitive: the scalar arm
-/// inlines the reference loop, the AVX2 arm calls into the
-/// `target_feature` function. The AVX2 arm re-checks [`simd_available`]
-/// (a cached feature probe) before entering the `unsafe` call: `Avx2` is a
-/// freely constructible public value, so soundness must hold even for a
-/// caller that never went through [`selected_backend`] — on hardware
-/// without AVX2 (and on non-x86_64 builds) the arm silently degrades to
-/// the scalar reference, which is bit-identical anyway.
-macro_rules! dispatchers {
-    ($ty:ty, $lanes:expr, $axpy:ident, $fold:ident, $paxpy:ident, $pdiv:ident,
-     $axpy_simd:ident, $fold_simd:ident, $paxpy_simd:ident, $pdiv_simd:ident) => {
-        /// `work[cols[i]] -= mult * vals[i]` on the chosen backend
-        /// (see [`scalar::axpy_indexed`] for the exact semantics). Slices
-        /// shorter than one vector width take the inlined scalar loop even
-        /// on the SIMD backend — the results are identical by the bitwise
-        /// contract, and skipping the `target_feature` call keeps short
-        /// fill rows (e.g. a tridiagonal ladder's single-entry updates)
-        /// free of dispatch overhead.
-        #[inline]
-        pub fn $axpy(
-            backend: KernelBackend,
-            mult: $ty,
-            vals: &[$ty],
-            cols: &[usize],
-            work: &mut [$ty],
-        ) {
-            if vals.len() < $lanes {
-                return scalar::axpy_indexed(mult, vals, cols, work);
-            }
-            match backend {
-                KernelBackend::Scalar => scalar::axpy_indexed(mult, vals, cols, work),
-                KernelBackend::Avx2 => {
-                    #[cfg(target_arch = "x86_64")]
-                    if simd_available() {
-                        // SAFETY: AVX2 presence was just verified; scattered
-                        // accesses are bounds-checked inside the kernel.
-                        #[allow(unsafe_code)]
-                        unsafe {
-                            avx2::$axpy_simd(mult, vals, cols, work)
-                        }
-                    } else {
-                        scalar::axpy_indexed(mult, vals, cols, work)
-                    }
-                    #[cfg(not(target_arch = "x86_64"))]
-                    scalar::axpy_indexed(mult, vals, cols, work)
-                }
-            }
-        }
-
-        /// `acc - Σ vals[i]·work[cols[i]]`, accumulated strictly in order,
-        /// on the chosen backend (see [`scalar::fold_sub_indexed`]).
-        #[inline]
-        pub fn $fold(
-            backend: KernelBackend,
-            acc: $ty,
-            vals: &[$ty],
-            cols: &[usize],
-            work: &[$ty],
-        ) -> $ty {
-            if vals.len() < $lanes {
-                return scalar::fold_sub_indexed(acc, vals, cols, work);
-            }
-            match backend {
-                KernelBackend::Scalar => scalar::fold_sub_indexed(acc, vals, cols, work),
-                KernelBackend::Avx2 => {
-                    #[cfg(target_arch = "x86_64")]
-                    if simd_available() {
-                        // SAFETY: AVX2 presence was just verified.
-                        #[allow(unsafe_code)]
-                        unsafe {
-                            return avx2::$fold_simd(acc, vals, cols, work);
-                        }
-                    }
-                    scalar::fold_sub_indexed(acc, vals, cols, work)
-                }
-            }
-        }
-
+/// Expands to the safe per-type panel dispatchers: the scalar arm inlines
+/// the reference loop, the AVX2 arm calls into the `target_feature`
+/// function. Slices shorter than one vector width take the scalar loop on
+/// every backend (identical results by the bitwise contract, no call
+/// overhead). The AVX2 arm re-checks [`simd_available`] (a cached feature
+/// probe) before entering the `unsafe` call: `Avx2` is a freely
+/// constructible public value, so soundness must hold even for a caller
+/// that never went through [`selected_backend`] — on hardware without AVX2
+/// (and on non-x86_64 builds) the arm degrades to the scalar reference.
+macro_rules! panel_dispatchers {
+    ($ty:ty, $lanes:expr, $axpy:ident, $div:ident) => {
         /// `dst[j] -= v * src[j]` over the common length on the chosen
         /// backend (see [`scalar::panel_axpy`]).
         #[inline]
-        pub fn $paxpy(backend: KernelBackend, v: $ty, src: &[$ty], dst: &mut [$ty]) {
-            if dst.len() < $lanes {
-                return scalar::panel_axpy(v, src, dst);
-            }
-            match backend {
-                KernelBackend::Scalar => scalar::panel_axpy(v, src, dst),
-                KernelBackend::Avx2 => {
-                    #[cfg(target_arch = "x86_64")]
-                    if simd_available() {
-                        // SAFETY: AVX2 presence was just verified.
-                        #[allow(unsafe_code)]
-                        unsafe {
-                            avx2::$paxpy_simd(v, src, dst)
-                        }
-                    } else {
-                        scalar::panel_axpy(v, src, dst)
+        pub fn $axpy(backend: KernelBackend, v: $ty, src: &[$ty], dst: &mut [$ty]) {
+            if backend.is_simd() && dst.len() >= $lanes {
+                #[cfg(target_arch = "x86_64")]
+                if simd_available() {
+                    // SAFETY: AVX2 presence was just verified.
+                    #[allow(unsafe_code)]
+                    unsafe {
+                        return avx2::$axpy(v, src, dst);
                     }
-                    #[cfg(not(target_arch = "x86_64"))]
-                    scalar::panel_axpy(v, src, dst)
                 }
             }
+            scalar::panel_axpy(v, src, dst)
         }
 
         /// `dst[j] = dst[j] / diag` for every lane on the chosen backend
         /// (see [`scalar::panel_div`]).
         #[inline]
-        pub fn $pdiv(backend: KernelBackend, diag: $ty, dst: &mut [$ty]) {
-            if dst.len() < $lanes {
-                return scalar::panel_div(diag, dst);
-            }
-            match backend {
-                KernelBackend::Scalar => scalar::panel_div(diag, dst),
-                KernelBackend::Avx2 => {
-                    #[cfg(target_arch = "x86_64")]
-                    if simd_available() {
-                        // SAFETY: AVX2 presence was just verified.
-                        #[allow(unsafe_code)]
-                        unsafe {
-                            avx2::$pdiv_simd(diag, dst)
-                        }
-                    } else {
-                        scalar::panel_div(diag, dst)
+        pub fn $div(backend: KernelBackend, diag: $ty, dst: &mut [$ty]) {
+            if backend.is_simd() && dst.len() >= $lanes {
+                #[cfg(target_arch = "x86_64")]
+                if simd_available() {
+                    // SAFETY: AVX2 presence was just verified.
+                    #[allow(unsafe_code)]
+                    unsafe {
+                        return avx2::$div(diag, dst);
                     }
-                    #[cfg(not(target_arch = "x86_64"))]
-                    scalar::panel_div(diag, dst)
                 }
             }
+            scalar::panel_div(diag, dst)
         }
     };
 }
 
-dispatchers!(
-    Complex64,
-    2,
-    axpy_indexed_c64,
-    fold_sub_indexed_c64,
-    panel_axpy_c64,
-    panel_div_c64,
-    axpy_indexed_c64,
-    fold_sub_indexed_c64,
-    panel_axpy_c64,
-    panel_div_c64
-);
-
-dispatchers!(
-    f64,
-    4,
-    axpy_indexed_f64,
-    fold_sub_indexed_f64,
-    panel_axpy_f64,
-    panel_div_f64,
-    axpy_indexed_f64,
-    fold_sub_indexed_f64,
-    panel_axpy_f64,
-    panel_div_f64
-);
-
-/// Per-type dispatchers for the batched variant-lane primitives, with the
-/// same structure and soundness discipline as [`dispatchers`]: short slices
-/// take the inlined scalar loop, and the AVX2 arm re-checks
-/// [`simd_available`] before the `unsafe` call.
-macro_rules! lane_dispatchers {
-    ($ty:ty, $lanes:expr, $mulsub:ident, $div:ident, $mulsub_simd:ident, $div_simd:ident) => {
-        /// `dst[w] -= a[w] * b[w]` elementwise on the chosen backend (see
-        /// [`scalar::lane_mul_sub`]) — the batched-variant lane update,
-        /// where every lane is an independent variant with its own
-        /// multiplier/factor pair.
-        #[inline]
-        pub fn $mulsub(backend: KernelBackend, a: &[$ty], b: &[$ty], dst: &mut [$ty]) {
-            if dst.len() < $lanes {
-                return scalar::lane_mul_sub(a, b, dst);
-            }
-            match backend {
-                KernelBackend::Scalar => scalar::lane_mul_sub(a, b, dst),
-                KernelBackend::Avx2 => {
-                    #[cfg(target_arch = "x86_64")]
-                    if simd_available() {
-                        // SAFETY: AVX2 presence was just verified.
-                        #[allow(unsafe_code)]
-                        unsafe {
-                            avx2::$mulsub_simd(a, b, dst)
-                        }
-                    } else {
-                        scalar::lane_mul_sub(a, b, dst)
-                    }
-                    #[cfg(not(target_arch = "x86_64"))]
-                    scalar::lane_mul_sub(a, b, dst)
-                }
-            }
-        }
-
-        /// `dst[w] = dst[w] / den[w]` elementwise on the chosen backend
-        /// (see [`scalar::lane_div`]) — one independent diagonal per
-        /// variant lane.
-        #[inline]
-        pub fn $div(backend: KernelBackend, den: &[$ty], dst: &mut [$ty]) {
-            if dst.len() < $lanes {
-                return scalar::lane_div(den, dst);
-            }
-            match backend {
-                KernelBackend::Scalar => scalar::lane_div(den, dst),
-                KernelBackend::Avx2 => {
-                    #[cfg(target_arch = "x86_64")]
-                    if simd_available() {
-                        // SAFETY: AVX2 presence was just verified.
-                        #[allow(unsafe_code)]
-                        unsafe {
-                            avx2::$div_simd(den, dst)
-                        }
-                    } else {
-                        scalar::lane_div(den, dst)
-                    }
-                    #[cfg(not(target_arch = "x86_64"))]
-                    scalar::lane_div(den, dst)
-                }
-            }
-        }
-    };
-}
-
-lane_dispatchers!(
-    Complex64,
-    2,
-    lane_mul_sub_c64,
-    lane_div_c64,
-    lane_mul_sub_c64,
-    lane_div_c64
-);
-
-lane_dispatchers!(
-    f64,
-    4,
-    lane_mul_sub_f64,
-    lane_div_f64,
-    lane_mul_sub_f64,
-    lane_div_f64
-);
+panel_dispatchers!(Complex64, 2, panel_axpy_c64, panel_div_c64);
+panel_dispatchers!(f64, 4, panel_axpy_f64, panel_div_f64);
 
 #[cfg(test)]
 mod tests {
@@ -880,58 +441,5 @@ mod tests {
         assert_eq!(dst, [7.0, 16.0, 14.0, 9.0]);
         scalar::lane_div(&[2.0, 4.0, -7.0, 3.0], &mut dst);
         assert_eq!(dst, [3.5, 4.0, -2.0, 3.0]);
-    }
-
-    /// The batched lane primitives must match the scalar reference
-    /// bit-for-bit on the dispatched backend, on awkwardly scaled data and
-    /// at lengths exercising both the vector body and the scalar tail.
-    #[test]
-    fn lane_dispatchers_bitwise_match_scalar() {
-        let backend = selected_backend();
-        let mut seed = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let u = ((seed >> 11) as f64) / ((1u64 << 53) as f64);
-            (u - 0.5) * 2.0e3 * (10.0f64).powi(((seed >> 7) % 13) as i32 - 6)
-        };
-        for n in [1usize, 2, 3, 4, 5, 7, 8, 11] {
-            let a: Vec<Complex64> = (0..n).map(|_| Complex64::new(next(), next())).collect();
-            let b: Vec<Complex64> = (0..n).map(|_| Complex64::new(next(), next())).collect();
-            let base: Vec<Complex64> = (0..n).map(|_| Complex64::new(next(), next())).collect();
-            let mut want = base.clone();
-            scalar::lane_mul_sub(&a, &b, &mut want);
-            let mut got = base.clone();
-            lane_mul_sub_c64(backend, &a, &b, &mut got);
-            for (w, g) in want.iter().zip(&got) {
-                assert!(w.re.to_bits() == g.re.to_bits() && w.im.to_bits() == g.im.to_bits());
-            }
-            let mut want = base.clone();
-            scalar::lane_div(&a, &mut want);
-            let mut got = base.clone();
-            lane_div_c64(backend, &a, &mut got);
-            for (w, g) in want.iter().zip(&got) {
-                assert!(w.re.to_bits() == g.re.to_bits() && w.im.to_bits() == g.im.to_bits());
-            }
-
-            let ra: Vec<f64> = (0..n).map(|_| next()).collect();
-            let rb: Vec<f64> = (0..n).map(|_| next()).collect();
-            let rbase: Vec<f64> = (0..n).map(|_| next()).collect();
-            let mut want = rbase.clone();
-            scalar::lane_mul_sub(&ra, &rb, &mut want);
-            let mut got = rbase.clone();
-            lane_mul_sub_f64(backend, &ra, &rb, &mut got);
-            for (w, g) in want.iter().zip(&got) {
-                assert_eq!(w.to_bits(), g.to_bits());
-            }
-            let mut want = rbase.clone();
-            scalar::lane_div(&ra, &mut want);
-            let mut got = rbase;
-            lane_div_f64(backend, &ra, &mut got);
-            for (w, g) in want.iter().zip(&got) {
-                assert_eq!(w.to_bits(), g.to_bits());
-            }
-        }
     }
 }

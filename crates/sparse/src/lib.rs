@@ -59,11 +59,12 @@
 //!   when the Krylov iteration misses.
 //!
 //! The scalar abstraction [`Scalar`] is implemented for `f64` (DC and
-//! transient analyses) and [`Complex64`] (AC analysis). Its `kernel_*`
-//! surface routes the three numeric hot loops — the refactorization's
-//! scatter/gather axpy, the substitution fold and the blocked panel update —
-//! through [`kernels`], which provides an explicitly vectorized AVX2 backend
-//! next to the portable scalar reference. The backend is recorded per
+//! transient analyses) and [`Complex64`] (AC analysis). The numeric hot
+//! loops live in [`kernels`]: the refactorization's scatter axpy, the
+//! substitution fold and the batched lane updates run its portable scalar
+//! loops, and the panel update of the blocked and driving-point solves —
+//! routed through `Scalar`'s `kernel_panel_*` surface — also has an
+//! explicitly vectorized AVX2 backend. The backend is recorded per
 //! [`SymbolicLu`] at build time ([`kernels::selected_backend`], overridable
 //! with the `LOOPSCOPE_KERNEL` environment knob) and the two backends are
 //! bit-identical on finite data, so every determinism guarantee in the

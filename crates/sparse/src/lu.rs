@@ -200,7 +200,7 @@ struct LuPattern {
     /// never eliminated: block back-substitution consumes them as-is.
     f_ptr: Vec<usize>,
     f_cols: Vec<usize>,
-    /// The kernel backend every numeric pass over this pattern runs
+    /// The kernel backend every panel solve over this pattern runs
     /// (recorded once when the symbolic analysis is built — see
     /// [`kernels::selected_backend`] — so a whole sweep is one code path).
     backend: KernelBackend,
@@ -260,10 +260,11 @@ impl SymbolicLu {
         &self.pattern.cperm
     }
 
-    /// The kernel backend every numeric refactorization and solve over this
-    /// pattern runs — recorded once when the analysis was built, from
+    /// The kernel backend every blocked and driving-point panel solve over
+    /// this pattern runs — recorded once when the analysis was built, from
     /// [`kernels::selected_backend`] (AVX2 when detected, overridable via
-    /// the `LOOPSCOPE_KERNEL` environment knob).
+    /// the `LOOPSCOPE_KERNEL` environment knob). Refactorizations and
+    /// single-RHS solves run the scalar loops on every backend.
     pub fn kernel_backend(&self) -> KernelBackend {
         self.pattern.backend
     }
@@ -275,10 +276,13 @@ impl SymbolicLu {
     /// permutations and fill pattern are copied, not shared, so the
     /// original analysis is untouched.
     ///
-    /// Pinning [`KernelBackend::Avx2`] on hardware without AVX2 support
-    /// would make later factorizations/solves undefined; pass only backends
-    /// that [`kernels::simd_available`] (or [`kernels::selected_backend`])
-    /// vouches for. [`KernelBackend::Scalar`] is always safe.
+    /// A fresh-pivot fallback of a refactorization over the pinned copy
+    /// keeps the pinned backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics when asked to pin [`KernelBackend::Avx2`] on hardware without
+    /// AVX2 support ([`kernels::simd_available`]).
     pub fn with_kernel_backend(&self, backend: KernelBackend) -> SymbolicLu {
         assert!(
             !backend.is_simd() || kernels::simd_available(),
@@ -795,7 +799,7 @@ impl<T: Scalar> SparseLu<T> {
     /// Returns [`SolveError::NotSquare`] for rectangular input and
     /// [`SolveError::Singular`] when no acceptable pivot exists at some step.
     pub fn factor(matrix: &CsrMatrix<T>) -> Result<Self, SolveError> {
-        Self::factor_impl(matrix, None)
+        Self::factor_impl(matrix, None, kernels::selected_backend())
     }
 
     /// Factors a square sparse matrix eliminating columns in the supplied
@@ -818,10 +822,14 @@ impl<T: Scalar> SparseLu<T> {
     ///
     /// Panics if `col_order` is not a permutation of `0..matrix.rows()`.
     pub fn factor_ordered(matrix: &CsrMatrix<T>, col_order: &[usize]) -> Result<Self, SolveError> {
-        Self::factor_impl(matrix, Some(col_order))
+        Self::factor_impl(matrix, Some(col_order), kernels::selected_backend())
     }
 
-    fn factor_impl(matrix: &CsrMatrix<T>, col_order: Option<&[usize]>) -> Result<Self, SolveError> {
+    fn factor_impl(
+        matrix: &CsrMatrix<T>,
+        col_order: Option<&[usize]>,
+        backend: KernelBackend,
+    ) -> Result<Self, SolveError> {
         let n = matrix.rows();
         if matrix.cols() != n {
             return Err(SolveError::NotSquare {
@@ -978,7 +986,7 @@ impl<T: Scalar> SparseLu<T> {
                 block_ptr: LuPattern::single_block(n),
                 f_ptr: LuPattern::empty_f(n),
                 f_cols: Vec::new(),
-                backend: kernels::selected_backend(),
+                backend,
             }),
             l_vals,
             u_vals,
@@ -1396,15 +1404,16 @@ impl<T: Scalar> SparseLu<T> {
     /// the retry keeps it (threshold pivoting will find healthy rows for the
     /// new values), so a mid-sweep fallback re-pivots **without** regressing
     /// to natural-order fill for the rest of the sweep; plain partial
-    /// pivoting remains the last resort.
+    /// pivoting remains the last resort. The new pattern keeps the stale
+    /// one's kernel backend, so a pinned analysis stays pinned.
     fn fallback_factor(pattern: &LuPattern, matrix: &CsrMatrix<T>) -> Result<Self, SolveError> {
         let has_ordering = pattern.cperm.iter().enumerate().any(|(k, &c)| k != c);
         if has_ordering && pattern.cperm.len() == matrix.rows() {
-            if let Ok(lu) = Self::factor_ordered(matrix, &pattern.cperm) {
+            if let Ok(lu) = Self::factor_impl(matrix, Some(&pattern.cperm), pattern.backend) {
                 return Ok(lu);
             }
         }
-        Self::factor(matrix)
+        Self::factor_impl(matrix, None, pattern.backend)
     }
 
     /// Refactors `matrix` **in place**, reusing this factorization's L/U
@@ -1545,19 +1554,15 @@ impl<T: Scalar> SparseLu<T> {
                 }
                 ws.work[cc] = v;
             }
-            // Left-looking elimination against the already-finished U rows.
-            // The scatter/gather axpy over each pivot row's fill pattern is
-            // the numeric hot loop of every sweep; it runs on the kernel
-            // backend the symbolic analysis recorded (bit-identical between
-            // backends — see `crate::kernels`).
+            // Left-looking elimination against the already-finished U rows:
+            // the scatter axpy over each pivot row's fill pattern.
             for t in l_range {
                 let k = pattern.l_cols[t];
                 let mult = ws.work[k] / u_vals[pattern.u_ptr[k]];
                 l_vals.push(mult);
                 if !mult.is_zero() {
                     let row = (pattern.u_ptr[k] + 1)..pattern.u_ptr[k + 1];
-                    T::kernel_axpy_indexed(
-                        pattern.backend,
+                    kernels::scalar::axpy_indexed(
                         mult,
                         &u_vals[row.clone()],
                         &pattern.u_cols[row],
@@ -1665,7 +1670,7 @@ impl<T: Scalar> SparseLu<T> {
         self.pattern.block_ptr.len() - 1
     }
 
-    /// The kernel backend this factorization's numeric passes run (recorded
+    /// The kernel backend this factorization's panel solves run (recorded
     /// by the pattern it was built over — see
     /// [`SymbolicLu::kernel_backend`]).
     pub fn kernel_backend(&self) -> KernelBackend {
@@ -1745,24 +1750,18 @@ impl<T: Scalar> SparseLu<T> {
             let (bs, be) = (p.block_ptr[b], p.block_ptr[b + 1]);
             // Forward substitution on the unit-lower factor, rows in
             // elimination order: work[i] = y[i] = r[perm[i]] − Σ L[i][k]·y[k]
-            // with r = b − F·x(later blocks). The per-entry updates run on
-            // the recorded kernel backend; the accumulator chain stays
-            // strictly sequential on every backend (only the independent
-            // products vectorize), so the result is bit-identical to the
-            // scalar loop.
+            // with r = b − F·x(later blocks), accumulated strictly in order.
             for i in bs..be {
                 let mut acc = rhs[p.perm[i]];
                 let fr = p.f_ptr[i]..p.f_ptr[i + 1];
-                acc = T::kernel_fold_sub_indexed(
-                    p.backend,
+                acc = kernels::scalar::fold_sub_indexed(
                     acc,
                     &self.f_vals[fr.clone()],
                     &p.f_cols[fr],
                     work,
                 );
                 let lr = p.l_ptr[i]..p.l_ptr[i + 1];
-                acc = T::kernel_fold_sub_indexed(
-                    p.backend,
+                acc = kernels::scalar::fold_sub_indexed(
                     acc,
                     &self.l_vals[lr.clone()],
                     &p.l_cols[lr],
@@ -1775,8 +1774,7 @@ impl<T: Scalar> SparseLu<T> {
             for i in (bs..be).rev() {
                 let start = p.u_ptr[i];
                 let ur = (start + 1)..p.u_ptr[i + 1];
-                let acc = T::kernel_fold_sub_indexed(
-                    p.backend,
+                let acc = kernels::scalar::fold_sub_indexed(
                     work[i],
                     &self.u_vals[ur.clone()],
                     &p.u_cols[ur],
@@ -2629,9 +2627,9 @@ impl BatchLaneStatus {
 /// All `width` factorizations are stored structure-of-arrays: the values of
 /// pattern slot `s` for every lane sit contiguously at `s·width..(s+1)·width`.
 /// Because every lane shares the fill pattern, one index stream drives
-/// `width` lanes of arithmetic through the `kernel_lane_*` primitives of
-/// [`crate::kernels`] — and because those primitives perform per-lane exactly
-/// the scalar reference operations in the scalar order (no FMA, no
+/// `width` lanes of arithmetic through the lane loops of
+/// [`crate::kernels::scalar`] — and because those loops perform per-lane
+/// exactly the scalar operations in the scalar order (no FMA, no
 /// reassociation, no cross-lane math), **each lane's factors and solutions
 /// are bitwise identical to a scalar [`SparseLu::refactor_into`] /
 /// [`SparseLu::solve_into`] run on that lane's matrix alone**, at any batch
@@ -2774,7 +2772,6 @@ impl<T: Scalar> BatchedLu<T> {
         // Marker reset, same O(1) stamp scheme as `LuWorkspace::reset`.
         self.stamp += n;
         let mark = self.stamp;
-        let backend = p.backend;
 
         for i in 0..n {
             let l_range = p.l_ptr[i]..p.l_ptr[i + 1];
@@ -2817,8 +2814,7 @@ impl<T: Scalar> BatchedLu<T> {
                 let u_diag = p.u_ptr[k] * wdt;
                 let lane = t * wdt;
                 self.l_vals[lane..lane + wdt].copy_from_slice(&self.work[k * wdt..(k + 1) * wdt]);
-                T::kernel_lane_div(
-                    backend,
+                kernels::scalar::lane_div(
                     &self.u_vals[u_diag..u_diag + wdt],
                     &mut self.l_vals[lane..lane + wdt],
                 );
@@ -2828,8 +2824,7 @@ impl<T: Scalar> BatchedLu<T> {
                 if all_nonzero {
                     for s in row {
                         let c = p.u_cols[s] * wdt;
-                        T::kernel_lane_mul_sub(
-                            backend,
+                        kernels::scalar::lane_mul_sub(
                             &self.l_vals[lane..lane + wdt],
                             &self.u_vals[s * wdt..(s + 1) * wdt],
                             &mut self.work[c..c + wdt],
@@ -2917,7 +2912,7 @@ impl<T: Scalar> BatchedLu<T> {
     ///
     /// One traversal of the shared L/U index structure drives every lane:
     /// each factor slot loaded once streams over `width` contiguous lanes
-    /// via the `lane` kernels. Per lane the operation sequence — every
+    /// via the lane loops. Per lane the operation sequence — every
     /// product, subtraction and division, in order — is identical to a
     /// scalar [`SparseLu::solve_into`] with that lane's factors, so factored
     /// lanes produce bitwise-identical solutions at any width. Lanes that
@@ -2958,7 +2953,6 @@ impl<T: Scalar> BatchedLu<T> {
         // elimination rows than the destination, L sources in earlier ones,
         // so the borrow splits are valid — but every lane multiplies its
         // *own* factor value, hence lane_mul_sub instead of panel_axpy.
-        let backend = p.backend;
         for b in (0..p.block_ptr.len() - 1).rev() {
             let (bs, be) = (p.block_ptr[b], p.block_ptr[b + 1]);
             for i in bs..be {
@@ -2970,8 +2964,7 @@ impl<T: Scalar> BatchedLu<T> {
                     let dst = &mut head[row..];
                     for t in p.f_ptr[i]..p.f_ptr[i + 1] {
                         let src = p.f_cols[t] * wdt - (row + wdt);
-                        T::kernel_lane_mul_sub(
-                            backend,
+                        kernels::scalar::lane_mul_sub(
                             &self.f_vals[t * wdt..(t + 1) * wdt],
                             &tail[src..src + wdt],
                             dst,
@@ -2983,8 +2976,7 @@ impl<T: Scalar> BatchedLu<T> {
                     let dst = &mut tail[..wdt];
                     for t in p.l_ptr[i]..p.l_ptr[i + 1] {
                         let src = p.l_cols[t] * wdt;
-                        T::kernel_lane_mul_sub(
-                            backend,
+                        kernels::scalar::lane_mul_sub(
                             &self.l_vals[t * wdt..(t + 1) * wdt],
                             &head[src..src + wdt],
                             dst,
@@ -2999,14 +2991,13 @@ impl<T: Scalar> BatchedLu<T> {
                 let dst = &mut head[row..];
                 for t in (start + 1)..p.u_ptr[i + 1] {
                     let src = p.u_cols[t] * wdt - (row + wdt);
-                    T::kernel_lane_mul_sub(
-                        backend,
+                    kernels::scalar::lane_mul_sub(
                         &self.u_vals[t * wdt..(t + 1) * wdt],
                         &tail[src..src + wdt],
                         dst,
                     );
                 }
-                T::kernel_lane_div(backend, &self.u_vals[start * wdt..(start + 1) * wdt], dst);
+                kernels::scalar::lane_div(&self.u_vals[start * wdt..(start + 1) * wdt], dst);
             }
         }
         for i in 0..p.n {
@@ -3283,6 +3274,23 @@ mod tests {
         let symbolic2 = lu.extract_symbolic();
         lu.refactor_into(&symbolic2, &b, &mut ws).unwrap();
         assert!(lu.refactored());
+    }
+
+    #[test]
+    fn fresh_pivot_fallback_keeps_a_pinned_kernel_backend() {
+        let a = csr_from_dense(&[&[1.0, 1.0e-3], &[1.0e-3, 1.0]]);
+        let (_, symbolic) = SparseLu::factor_with_symbolic(&a).unwrap();
+        let pinned = symbolic.with_kernel_backend(KernelBackend::Scalar);
+        let mut lu = SparseLu::from_symbolic(&pinned);
+        let mut ws = LuWorkspace::new();
+        let b = csr_from_dense(&[&[1.0e-12, 1.0], &[1.0, 1.0e-12]]);
+        lu.refactor_into(&pinned, &b, &mut ws).unwrap();
+        assert!(!lu.refactored());
+        assert_eq!(lu.kernel_backend(), KernelBackend::Scalar);
+        assert_eq!(
+            lu.extract_symbolic().kernel_backend(),
+            KernelBackend::Scalar
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Scalar abstraction over real and complex arithmetic, including the
-//! kernel dispatch surface the LU hot loops run on.
+//! panel-kernel dispatch surface of the blocked LU solves.
 
 use crate::kernels::{self, KernelBackend};
 use loopscope_math::Complex64;
@@ -11,16 +11,18 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// Implemented for `f64` (DC, transient) and [`Complex64`] (AC). The trait is
 /// sealed in spirit: downstream crates are not expected to implement it.
 ///
-/// Besides the basic field operations, the trait carries the **kernel
-/// surface** of the LU hot loops: the `kernel_*` associated functions route
-/// the scatter/gather axpy of the numeric refactorization, the substitution
-/// fold and the blocked panel updates through [`crate::kernels`], where
-/// `f64` and [`Complex64`] dispatch to the explicitly vectorized AVX2 path
-/// when the factorization's recorded [`KernelBackend`] asks for it. The
-/// default implementations are the portable scalar reference loops, and the
-/// SIMD overrides are **bit-identical** to them on finite data (same IEEE
-/// operations, same per-element order — see the [`crate::kernels`] module
-/// docs for the contract).
+/// Besides the basic field operations, the trait carries the **panel
+/// kernel surface** of the blocked multi-RHS and driving-point solves:
+/// [`kernel_panel_axpy`](Scalar::kernel_panel_axpy) and
+/// [`kernel_panel_div`](Scalar::kernel_panel_div) route through
+/// [`crate::kernels`], where `f64` and [`Complex64`] dispatch to the AVX2
+/// panel kernels when the factorization's recorded [`KernelBackend`] asks
+/// for it. The default implementations are the portable scalar reference
+/// loops, and the SIMD overrides are **bit-identical** to them on finite
+/// data (same IEEE operations, same per-element order — see the
+/// [`crate::kernels`] module docs for the contract). The refactorization,
+/// the single-RHS substitution and the batched lane loops call the scalar
+/// loops of [`crate::kernels::scalar`] directly.
 pub trait Scalar:
     Copy
     + Debug
@@ -76,32 +78,6 @@ pub trait Scalar:
         self == Self::ZERO
     }
 
-    /// `work[cols[i]] -= mult * vals[i]` for every `i` — the scatter/gather
-    /// axpy of the numeric refactorization's left-looking elimination.
-    #[inline]
-    fn kernel_axpy_indexed(
-        _backend: KernelBackend,
-        mult: Self,
-        vals: &[Self],
-        cols: &[usize],
-        work: &mut [Self],
-    ) {
-        kernels::scalar::axpy_indexed(mult, vals, cols, work);
-    }
-
-    /// Returns `acc − Σ vals[i]·work[cols[i]]`, subtracting strictly in
-    /// index order — the per-entry update of the substitution sweeps.
-    #[inline]
-    fn kernel_fold_sub_indexed(
-        _backend: KernelBackend,
-        acc: Self,
-        vals: &[Self],
-        cols: &[usize],
-        work: &[Self],
-    ) -> Self {
-        kernels::scalar::fold_sub_indexed(acc, vals, cols, work)
-    }
-
     /// `dst[j] -= v * src[j]` over the common length — the k-wide panel
     /// update of the blocked multi-RHS solve (lane = RHS column).
     #[inline]
@@ -113,22 +89,6 @@ pub trait Scalar:
     #[inline]
     fn kernel_panel_div(_backend: KernelBackend, diag: Self, dst: &mut [Self]) {
         kernels::scalar::panel_div(diag, dst);
-    }
-
-    /// `dst[w] -= a[w] * b[w]` elementwise — the w-wide variant-lane update
-    /// of the batched many-variant refactor/solve, where every lane is an
-    /// independent matrix sharing only the fill pattern (so each lane has
-    /// its own multiplier/factor pair).
-    #[inline]
-    fn kernel_lane_mul_sub(_backend: KernelBackend, a: &[Self], b: &[Self], dst: &mut [Self]) {
-        kernels::scalar::lane_mul_sub(a, b, dst);
-    }
-
-    /// `dst[w] = dst[w] / den[w]` elementwise — the batched
-    /// back-substitution divide, one independent diagonal per variant lane.
-    #[inline]
-    fn kernel_lane_div(_backend: KernelBackend, den: &[Self], dst: &mut [Self]) {
-        kernels::scalar::lane_div(den, dst);
     }
 }
 
@@ -167,28 +127,6 @@ impl Scalar for f64 {
     }
 
     #[inline]
-    fn kernel_axpy_indexed(
-        backend: KernelBackend,
-        mult: Self,
-        vals: &[Self],
-        cols: &[usize],
-        work: &mut [Self],
-    ) {
-        kernels::axpy_indexed_f64(backend, mult, vals, cols, work);
-    }
-
-    #[inline]
-    fn kernel_fold_sub_indexed(
-        backend: KernelBackend,
-        acc: Self,
-        vals: &[Self],
-        cols: &[usize],
-        work: &[Self],
-    ) -> Self {
-        kernels::fold_sub_indexed_f64(backend, acc, vals, cols, work)
-    }
-
-    #[inline]
     fn kernel_panel_axpy(backend: KernelBackend, v: Self, src: &[Self], dst: &mut [Self]) {
         kernels::panel_axpy_f64(backend, v, src, dst);
     }
@@ -196,16 +134,6 @@ impl Scalar for f64 {
     #[inline]
     fn kernel_panel_div(backend: KernelBackend, diag: Self, dst: &mut [Self]) {
         kernels::panel_div_f64(backend, diag, dst);
-    }
-
-    #[inline]
-    fn kernel_lane_mul_sub(backend: KernelBackend, a: &[Self], b: &[Self], dst: &mut [Self]) {
-        kernels::lane_mul_sub_f64(backend, a, b, dst);
-    }
-
-    #[inline]
-    fn kernel_lane_div(backend: KernelBackend, den: &[Self], dst: &mut [Self]) {
-        kernels::lane_div_f64(backend, den, dst);
     }
 }
 
@@ -244,28 +172,6 @@ impl Scalar for Complex64 {
     }
 
     #[inline]
-    fn kernel_axpy_indexed(
-        backend: KernelBackend,
-        mult: Self,
-        vals: &[Self],
-        cols: &[usize],
-        work: &mut [Self],
-    ) {
-        kernels::axpy_indexed_c64(backend, mult, vals, cols, work);
-    }
-
-    #[inline]
-    fn kernel_fold_sub_indexed(
-        backend: KernelBackend,
-        acc: Self,
-        vals: &[Self],
-        cols: &[usize],
-        work: &[Self],
-    ) -> Self {
-        kernels::fold_sub_indexed_c64(backend, acc, vals, cols, work)
-    }
-
-    #[inline]
     fn kernel_panel_axpy(backend: KernelBackend, v: Self, src: &[Self], dst: &mut [Self]) {
         kernels::panel_axpy_c64(backend, v, src, dst);
     }
@@ -273,16 +179,6 @@ impl Scalar for Complex64 {
     #[inline]
     fn kernel_panel_div(backend: KernelBackend, diag: Self, dst: &mut [Self]) {
         kernels::panel_div_c64(backend, diag, dst);
-    }
-
-    #[inline]
-    fn kernel_lane_mul_sub(backend: KernelBackend, a: &[Self], b: &[Self], dst: &mut [Self]) {
-        kernels::lane_mul_sub_c64(backend, a, b, dst);
-    }
-
-    #[inline]
-    fn kernel_lane_div(backend: KernelBackend, den: &[Self], dst: &mut [Self]) {
-        kernels::lane_div_c64(backend, den, dst);
     }
 }
 

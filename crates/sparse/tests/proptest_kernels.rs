@@ -1,9 +1,9 @@
-//! Property-based proof of the kernel layer's bitwise contract: the SIMD
-//! backend must produce **bit-identical** results to the portable scalar
-//! reference — same IEEE operations, same per-element order, no FMA, no
-//! reassociation — on random real and complex data, both at the primitive
-//! level and through the full refactor/solve pipeline at panel widths
-//! 1/3/16/64.
+//! Property-based proof of the kernel layer's bitwise contract: the AVX2
+//! panel kernels must produce **bit-identical** results to the portable
+//! scalar reference — same IEEE operations, same per-element order, no FMA,
+//! no reassociation — on random real and complex data, both at the primitive
+//! level and through the full refactor + blocked and pruned driving-point
+//! solves at panel widths 1/3/16/64.
 //!
 //! On hardware without AVX2 the SIMD comparisons degrade to scalar-vs-scalar
 //! (trivially true) instead of being skipped silently, so the suite runs
@@ -11,7 +11,7 @@
 
 use loopscope_math::Complex64;
 use loopscope_sparse::kernels::{self, KernelBackend};
-use loopscope_sparse::{LuWorkspace, SparseLu, TripletMatrix};
+use loopscope_sparse::{LuWorkspace, Scalar, SparseLu, SymbolicLu, TripletMatrix};
 use proptest::prelude::*;
 
 /// The backend to pit against [`KernelBackend::Scalar`]: AVX2 when the CPU
@@ -61,6 +61,25 @@ fn assert_bits_c64(a: &[Complex64], b: &[Complex64], what: &str) -> Result<(), S
     Ok(())
 }
 
+/// Every unknown's driving-point response `Z_vv` through the pruned panel
+/// path. The schedule is built over `symbolic` itself: it applies only to
+/// factorizations sharing that exact pattern, so each pinned copy needs its
+/// own.
+fn driving_points<T: Scalar>(
+    lu: &SparseLu<T>,
+    symbolic: &SymbolicLu,
+    panel_width: usize,
+) -> Vec<T> {
+    let n = symbolic.dim();
+    let vars: Vec<usize> = (0..n).collect();
+    let schedule = symbolic.driving_point_schedule(&vars, panel_width);
+    let mut out = vec![T::ZERO; n];
+    let mut work = vec![T::ZERO; n * panel_width];
+    lu.solve_driving_points_into(&schedule, &mut out, &mut work)
+        .expect("driving-point solve");
+    out
+}
+
 /// The panel widths the blocked solve runs at in practice: the per-RHS
 /// degenerate case, an odd width exercising every tail path, the default,
 /// and a wide panel.
@@ -68,59 +87,6 @@ const PANEL_WIDTHS: [usize; 4] = [1, 3, 16, 64];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Primitive level, complex lanes: axpy / fold / panel ops bit-agree
-    /// between the scalar reference and the SIMD backend on random data
-    /// (duplicate scatter targets included).
-    #[test]
-    fn complex_primitives_bit_agree(
-        mult in (-3.0f64..3.0, -3.0f64..3.0),
-        vals in prop::collection::vec((-4.0f64..4.0, -4.0f64..4.0), 0..40),
-        cols_seed in prop::collection::vec(0usize..64, 0..40),
-        work_seed in prop::collection::vec((-8.0f64..8.0, -8.0f64..8.0), 64),
-    ) {
-        let simd = simd_or_scalar();
-        let mult = c64(mult);
-        let vals: Vec<Complex64> = vals.into_iter().map(c64).collect();
-        let n = vals.len().min(cols_seed.len());
-        let cols: Vec<usize> = cols_seed[..n].to_vec();
-        let base: Vec<Complex64> = work_seed.into_iter().map(c64).collect();
-
-        let mut w_scalar = base.clone();
-        let mut w_simd = base.clone();
-        kernels::axpy_indexed_c64(KernelBackend::Scalar, mult, &vals[..n], &cols, &mut w_scalar);
-        kernels::axpy_indexed_c64(simd, mult, &vals[..n], &cols, &mut w_simd);
-        assert_bits_c64(&w_scalar, &w_simd, "axpy_indexed_c64")?;
-
-        let acc_scalar = kernels::fold_sub_indexed_c64(
-            KernelBackend::Scalar, mult, &vals[..n], &cols, &w_scalar);
-        let acc_simd = kernels::fold_sub_indexed_c64(simd, mult, &vals[..n], &cols, &w_scalar);
-        assert_bits_c64(&[acc_scalar], &[acc_simd], "fold_sub_indexed_c64")?;
-    }
-
-    /// Primitive level, real lanes.
-    #[test]
-    fn real_primitives_bit_agree(
-        mult in -3.0f64..3.0,
-        vals in prop::collection::vec(-4.0f64..4.0, 0..40),
-        cols_seed in prop::collection::vec(0usize..64, 0..40),
-        work_seed in prop::collection::vec(-8.0f64..8.0, 64),
-    ) {
-        let simd = simd_or_scalar();
-        let n = vals.len().min(cols_seed.len());
-        let cols: Vec<usize> = cols_seed[..n].to_vec();
-
-        let mut w_scalar = work_seed.clone();
-        let mut w_simd = work_seed.clone();
-        kernels::axpy_indexed_f64(KernelBackend::Scalar, mult, &vals[..n], &cols, &mut w_scalar);
-        kernels::axpy_indexed_f64(simd, mult, &vals[..n], &cols, &mut w_simd);
-        assert_bits_f64(&w_scalar, &w_simd, "axpy_indexed_f64")?;
-
-        let acc_scalar = kernels::fold_sub_indexed_f64(
-            KernelBackend::Scalar, mult, &vals[..n], &cols, &w_scalar);
-        let acc_simd = kernels::fold_sub_indexed_f64(simd, mult, &vals[..n], &cols, &w_scalar);
-        assert_bits_f64(&[acc_scalar], &[acc_simd], "fold_sub_indexed_f64")?;
-    }
 
     /// Panel primitives at the practical widths 1/3/16/64 (lane = RHS
     /// column), complex and real.
@@ -160,10 +126,10 @@ proptest! {
         }
     }
 
-    /// Full pipeline, complex: a BTF factorization refactored and
-    /// panel-solved on a scalar-pinned and a SIMD-pinned copy of the same
-    /// symbolic analysis must produce bit-identical factors and solutions
-    /// at every panel width.
+    /// Full pipeline, complex: a BTF factorization refactored, panel-solved
+    /// and driving-point-solved on a scalar-pinned and a SIMD-pinned copy of
+    /// the same symbolic analysis must produce bit-identical solutions and
+    /// `Z_vv` at every panel width.
     #[test]
     fn complex_refactor_and_panel_solve_bit_agree(
         n in 2usize..12,
@@ -216,6 +182,10 @@ proptest! {
             let mut col0: Vec<Complex64> = panel[..n].to_vec();
             lu_simd.solve_into(&mut col0, &mut work[..n]).expect("solve");
             assert_bits_c64(&col0, &a[..n], "solve_into vs panel column 0")?;
+
+            let a = driving_points(&lu_scalar, &sym_scalar, k);
+            let b = driving_points(&lu_simd, &sym_simd, k);
+            assert_bits_c64(&a, &b, "solve_driving_points_into (complex)")?;
         }
     }
 
@@ -264,6 +234,10 @@ proptest! {
             let mut b = panel.clone();
             lu_simd.solve_block_into(&mut b, k, &mut work).expect("solve");
             assert_bits_f64(&a, &b, "solve_block_into (real)")?;
+
+            let a = driving_points(&lu_scalar, &sym_scalar, k);
+            let b = driving_points(&lu_simd, &sym_simd, k);
+            assert_bits_f64(&a, &b, "solve_driving_points_into (real)")?;
         }
     }
 }

@@ -171,8 +171,8 @@ pub struct SolverStructure {
     /// Stored factor entries — L and U fill plus raw off-diagonal block
     /// entries.
     pub fill_nnz: usize,
-    /// The kernel backend (scalar reference or explicit SIMD) every numeric
-    /// refactorization and solve over the plan runs — recorded once at plan
+    /// The kernel backend (scalar reference or explicit SIMD) every blocked
+    /// and driving-point panel solve over the plan runs — recorded once at plan
     /// build time (see [`loopscope_sparse::kernels::selected_backend`] and
     /// the `LOOPSCOPE_KERNEL` knob); results are bitwise identical either
     /// way.

@@ -85,6 +85,10 @@ impl AssembleMna<Complex64> for AcJob<'_> {
     }
 }
 
+/// One faulted sweep's per-point solutions (or the lowest-index structured
+/// error) plus the merged solve counters.
+type SweepRun = (Result<Vec<Vec<Complex64>>, SpiceError>, SolveStats);
+
 /// Runs the sweep with `workers` workers and `panel`-wide contexts,
 /// injecting `fault` (seeded by `seed + k`) into the assembled matrix of
 /// point `fault_point` before its solve. Returns the per-point solutions
@@ -95,7 +99,7 @@ fn sweep_with_fault(
     fault: FaultKind,
     fault_point: usize,
     seed: u64,
-) -> (Result<Vec<Vec<Complex64>>, SpiceError>, SolveStats) {
+) -> SweepRun {
     let circuit = rc_chain(6);
     let layout = MnaLayout::new(&circuit);
     let freqs: Vec<f64> = (0..24)
@@ -145,7 +149,7 @@ fn sweep_with_fault_iterative(
     fault: FaultKind,
     fault_point: usize,
     seed: u64,
-) -> (Result<Vec<Vec<Complex64>>, SpiceError>, SolveStats) {
+) -> SweepRun {
     let circuit = rc_chain(6);
     let layout = MnaLayout::new(&circuit);
     let freqs: Vec<f64> = (0..24)
@@ -311,13 +315,7 @@ fn assert_iterative_config_invariant(fault: FaultKind, fault_point: usize, seed:
 }
 
 fn assert_config_invariant_for(
-    sweep: &dyn Fn(
-        usize,
-        usize,
-        FaultKind,
-        usize,
-        u64,
-    ) -> (Result<Vec<Vec<Complex64>>, SpiceError>, SolveStats),
+    sweep: &dyn Fn(usize, usize, FaultKind, usize, u64) -> SweepRun,
     fault: FaultKind,
     fault_point: usize,
     seed: u64,
